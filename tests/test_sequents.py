@@ -10,6 +10,7 @@ from nomlog import (
     DerivationError,
     check_derivation,
     fa_sequent,
+    load_proof,
     parse_formula,
     parse_sequent,
 )
@@ -200,3 +201,176 @@ def test_check_derivation_reports_path():
 def test_check_derivation_returns_conclusion():
     d = Derivation("BotL", seq("bot |- P(a)"))
     assert check_derivation(d) == seq("bot |- P(a)")
+
+
+def _leaf(text):
+    return Derivation("Ax", seq(text))
+
+
+# One small derivation per message; the expected strings are pinned exactly.
+NODE_MESSAGES = [
+    (Derivation("Cut", seq("|-")), "unknown rule 'Cut'"),
+    (Derivation("AndR", seq("|- P(a) & P(b)"), (), principal=form("P(a) & P(b)")),
+     "AndR takes 2 premises, got 0"),
+    (Derivation("BotL", seq("P(a) |- bot")), "BotL needs bot on the left"),
+    (ax("P(a) |- P(b)", "P(b)"), "Ax principal P(b) is not on the left"),
+    (ax("P(a) |- P(b)", "P(a)"), "Ax principal P(a) is not on the right"),
+    (Derivation("Ax", seq("P(a) |- P(b)")), "Ax needs a formula shared by both sides"),
+    (Derivation("AndL", seq("P(a) |- P(a)"), (_leaf("P(a) |- P(a)"),)),
+     "AndL needs a principal formula"),
+    (Derivation("AndL", seq("P(a) |- P(a)"), (_leaf("P(a) |- P(a)"),),
+                principal=form("P(a)")),
+     "AndL principal P(a) is not a conjunction"),
+    (Derivation("AndL", seq("P(a) |- P(a)"), (_leaf("P(a), P(b) |- P(a)"),),
+                principal=form("P(a) & P(b)")),
+     "AndL principal P(a) & P(b) is not on the left"),
+    (Derivation("AndL", seq("P(a) & P(b) |- P(a)"), (_leaf("P(a), P(b) |- P(a), P(c)"),),
+                principal=form("P(a) & P(b)")),
+     "AndL premise changed the right side"),
+    (Derivation("AndL", seq("P(a) & P(b) |- P(a)"), (_leaf("P(a) |- P(a)"),),
+                principal=form("P(a) & P(b)")),
+     "AndL premise left does not decompose P(a) & P(b)"),
+    (Derivation("AndR", seq("|- P(a)"), (_leaf("|- P(a)"), _leaf("|- P(a)")),
+                principal=form("P(a)")),
+     "AndR principal P(a) is not a conjunction"),
+    (Derivation("AndR", seq("P(a) & P(b) |-"), (_leaf("|- P(a)"), _leaf("|- P(b)")),
+                principal=form("P(a) & P(b)")),
+     "AndR principal P(a) & P(b) is not on the right"),
+    (Derivation("AndR", seq("P(c) |- P(a) & P(b)"),
+                (_leaf("P(c) |- P(a)"), _leaf("|- P(b)")),
+                principal=form("P(a) & P(b)")),
+     "AndR premise changed the left side"),
+    (Derivation("AndR", seq("|- P(a) & P(b)"), (_leaf("|- P(a)"), _leaf("|- P(a)")),
+                principal=form("P(a) & P(b)")),
+     "AndR premise right does not prove P(b)"),
+    (Derivation("NegL", seq("P(a) |- bot"), (_leaf("|- P(a), bot"),),
+                principal=form("P(a)")),
+     "NegL principal P(a) is not a negation"),
+    (Derivation("NegL", seq("|- ~P(a)"), (_leaf("|- P(a), bot"),),
+                principal=form("~P(a)")),
+     "NegL principal ~P(a) is not on the left"),
+    (Derivation("NegL", seq("~P(a) |- bot"), (_leaf("|- bot"),),
+                principal=form("~P(a)")),
+     "NegL premise right must add P(a)"),
+    (Derivation("NegL", seq("~P(a) |- bot"), (_leaf("P(b) |- P(a), bot"),),
+                principal=form("~P(a)")),
+     "NegL premise left must only discharge the principal"),
+    (Derivation("NegR", seq("bot |- P(a)"), (_leaf("bot, P(a) |-"),),
+                principal=form("P(a)")),
+     "NegR principal P(a) is not a negation"),
+    (Derivation("NegR", seq("~P(a) |-"), (_leaf("P(a) |-"),),
+                principal=form("~P(a)")),
+     "NegR principal ~P(a) is not on the right"),
+    (Derivation("NegR", seq("|- ~P(a)"), (_leaf("|-"),), principal=form("~P(a)")),
+     "NegR premise left must add P(a)"),
+    (Derivation("NegR", seq("|- ~P(a)"), (_leaf("P(a) |- P(b)"),),
+                principal=form("~P(a)")),
+     "NegR premise right must only discharge the principal"),
+    (Derivation("AllL", seq("P(a) |- P(a)"), (_leaf("P(a) |- P(a)"),),
+                principal=form("P(a)"), witness=form("P(c)").args[0]),
+     "AllL principal P(a) is not a universal"),
+    (Derivation("AllL", seq("|- forall a. P(a)"), (_leaf("P(c) |- P(c)"),),
+                principal=form("forall a. P(a)"), witness=form("P(c)").args[0]),
+     "AllL principal forall a. P(a) is not on the left"),
+    (Derivation("AllL", seq("forall a. P(a) |- P(c)"), (_leaf("P(c) |- P(c)"),),
+                principal=form("forall a. P(a)")),
+     "AllL needs a witness term"),
+    (Derivation("AllL", seq("forall a. P(a) |- P(c)"), (_leaf("P(c) |- P(c), P(b)"),),
+                principal=form("forall a. P(a)"), witness=form("P(c)").args[0]),
+     "AllL premise changed the right side"),
+    (Derivation("AllL", seq("forall a. P(a) |- P(c)"), (_leaf("P(b) |- P(c)"),),
+                principal=form("forall a. P(a)"), witness=form("P(c)").args[0]),
+     "AllL premise left must add the instance P(c)"),
+    (Derivation("AllR", seq("|- P(b)"), (_leaf("|- P(c)"),),
+                principal=form("P(b)"), eigen=c),
+     "AllR principal P(b) is not a universal"),
+    (Derivation("AllR", seq("forall b. P(b) |-"), (_leaf("|- P(c)"),),
+                principal=form("forall b. P(b)"), eigen=c),
+     "AllR principal forall b. P(b) is not on the right"),
+    (Derivation("AllR", seq("|- forall b. P(b)"), (_leaf("|- P(c)"),),
+                principal=form("forall b. P(b)")),
+     "AllR needs an eigen atom"),
+    (Derivation("AllR", seq("P(c) |- forall b. P(b)"), (_leaf("P(c) |- P(c)"),),
+                principal=form("forall b. P(b)"), eigen=c),
+     "AllR eigen atom c occurs free in the conclusion context"),
+    (Derivation("AllR", seq("|- forall b. P(b)"), (_leaf("|- P(a)"),),
+                principal=form("forall b. P(b)"), eigen=c),
+     "AllR premise right lacks the body of forall b. P(b) at eigen atom c"),
+    (Derivation("AllR", seq("|- forall b. P(b)"), (_leaf("P(a) |- P(c)"),),
+                principal=form("forall b. P(b)"), eigen=c),
+     "AllR premise changed the left side"),
+    (Derivation("AllR", seq("|- forall b. P(b)"), (_leaf("|- P(c), P(a)"),),
+                principal=form("forall b. P(b)"), eigen=c),
+     "AllR premise right must only replace the principal by its body"),
+]
+
+
+@pytest.mark.parametrize(
+    "d, message", NODE_MESSAGES, ids=[m for _, m in NODE_MESSAGES]
+)
+def test_node_violation_messages_are_exact(d, message):
+    assert node_violation(d) == message
+
+
+# Proof texts whose root conclusion is left out, so it must be inferred.
+INFER_MESSAGES = [
+    ('(BotL)', "BotL leaves need an explicit (concl ...)"),
+    ('(Ax (principal "P(a)"))', "Ax leaves need an explicit (concl ...)"),
+    ('(AndL (premise (Ax (concl "P(a) |- P(a)"))))', "AndL needs a principal formula"),
+    ('(AndL (principal "P(a)") (premise (Ax (concl "P(a) |- P(a)"))))',
+     "AndL principal is not a conjunction"),
+    ('(AndL (principal "P(a) & P(b)") (premise (Ax (concl "P(a) |- P(a)"))))',
+     "premise left lacks the conjuncts"),
+    ('(AndR (principal "P(a)") (premise (Ax (concl "|- P(a)")))'
+     ' (premise (Ax (concl "|- P(a)"))))',
+     "AndR principal is not a conjunction"),
+    ('(AndR (principal "P(a) & P(b)") (premise (Ax (concl "|- P(b)")))'
+     ' (premise (Ax (concl "|- P(b)"))))',
+     "first premise right lacks the left conjunct"),
+    ('(AndR (principal "P(a) & P(b)") (premise (Ax (concl "|- P(a)")))'
+     ' (premise (Ax (concl "|- P(a)"))))',
+     "second premise right lacks the right conjunct"),
+    ('(NegL (principal "P(a)") (premise (Ax (concl "|- P(a)"))))',
+     "NegL principal is not a negation"),
+    ('(NegL (principal "~P(a)") (premise (Ax (concl "P(a) |-"))))',
+     "premise right lacks the negated body"),
+    ('(NegR (principal "P(a)") (premise (Ax (concl "P(a) |-"))))',
+     "NegR principal is not a negation"),
+    ('(NegR (principal "~P(a)") (premise (Ax (concl "|- P(a)"))))',
+     "premise left lacks the negated body"),
+    ('(AllL (principal "P(a)") (witness "c") (premise (Ax (concl "P(c) |-"))))',
+     "AllL principal is not a universal"),
+    ('(AllL (principal "forall a. P(a)") (premise (Ax (concl "P(c) |-"))))',
+     "AllL needs a witness term"),
+    ('(AllL (principal "forall a. P(a)") (witness "c") (premise (Ax (concl "P(b) |-"))))',
+     "premise left lacks the witness instance"),
+    ('(AllR (principal "P(b)") (eigen c) (premise (Ax (concl "|- P(c)"))))',
+     "AllR principal is not a universal"),
+    ('(AllR (principal "forall b. P(b)") (premise (Ax (concl "|- P(c)"))))',
+     "AllR needs an eigen atom"),
+    ('(AllR (principal "forall b. P(b)") (eigen c) (premise (Ax (concl "|- P(a)"))))',
+     "premise right lacks the body at the eigen atom"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message", INFER_MESSAGES, ids=[m for _, m in INFER_MESSAGES]
+)
+def test_inference_messages_are_exact(text, message):
+    with pytest.raises(DerivationError) as e:
+        load_proof(text)
+    assert str(e.value) == f"root: cannot infer conclusion: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('(Cut (concl "|- bot"))', "unknown rule 'Cut'"),
+        ('(AndR (concl "|- P(a) & P(b)") (principal "P(a) & P(b)")'
+         ' (premise (Ax (concl "P(a) |- P(a)"))))', "AndR takes 2 premises, got 1"),
+    ],
+)
+def test_load_proof_rule_messages_are_exact(text, message):
+    with pytest.raises(DerivationError) as e:
+        load_proof(text)
+    assert str(e.value) == f"root: {message}"
