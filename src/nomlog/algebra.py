@@ -69,7 +69,30 @@ def suite_ok(reports: Sequence[SuiteReport]) -> bool:
     return all(r.ok for r in reports)
 
 
-class SubstAlgebra:
+class CarrierHandle:
+    """Forwards the nominal operations to the carrier it holds."""
+
+    carrier: Carrier
+
+    @property
+    def eq(self):
+        return self.carrier.eq
+
+    @property
+    def act(self):
+        return self.carrier.act
+
+    def is_fresh(self, a: Atom, x) -> bool:
+        return self.carrier.is_fresh(a, x)
+
+    def support(self, x) -> AtomSet:
+        return self.carrier.support(x)
+
+    def support_bound(self, x) -> AtomSet:
+        return self.carrier.support_bound(x)
+
+
+class SubstAlgebra(CarrierHandle):
     """Carrier handle plus a substitution action over a term-like algebra."""
 
     def __init__(
@@ -92,23 +115,6 @@ class SubstAlgebra:
                 raise ValueError(f"{name}: a plain substitution algebra needs a term algebra")
             term_algebra = self
         self.term_algebra = term_algebra
-
-    @property
-    def eq(self):
-        return self.carrier.eq
-
-    @property
-    def act(self):
-        return self.carrier.act
-
-    def is_fresh(self, a: Atom, x) -> bool:
-        return self.carrier.is_fresh(a, x)
-
-    def support(self, x) -> AtomSet:
-        return self.carrier.support(x)
-
-    def support_bound(self, x) -> AtomSet:
-        return self.carrier.support_bound(x)
 
 
 class TermlikeAlgebra(SubstAlgebra):

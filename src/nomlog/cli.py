@@ -14,7 +14,6 @@ that would blow its work budget.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from pathlib import Path
@@ -161,8 +160,7 @@ def cmd_eval(args) -> int:
 
 def cmd_countermodel(args) -> int:
     seq = parse_sequent(args.sequent)
-    threads = int(os.environ.get("NOMLOG_THREADS", "1") or "1")
-    found = countermodel_search(seq, args.max_size, budget=args.budget, threads=threads)
+    found = countermodel_search(seq, args.max_size, budget=args.budget)
     if found is None:
         print("found=no")
         return 1

@@ -16,7 +16,6 @@ is not below the lub of the right side.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -216,7 +215,6 @@ def countermodel_search(
     seq: Sequent,
     max_size: int,
     budget: int = 10_000_000,
-    threads: int = 1,
 ) -> Countermodel | None:
     """First countermodel over carriers {0}, {0,1}, ... up to max_size.
 
@@ -233,15 +231,6 @@ def countermodel_search(
         raise SearchBudgetError(
             f"search needs about {total} table checks; budget is {budget}"
         )
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for size in range(1, max_size + 1):
-                models = enumerate_models(sig, size)
-                while batch := list(itertools.islice(models, 16 * threads)):
-                    for found in pool.map(lambda m: refute(m, seq), batch):
-                        if found is not None:
-                            return found
-        return None
     for size in range(1, max_size + 1):
         for model in enumerate_models(sig, size):
             found = refute(model, seq)

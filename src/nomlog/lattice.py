@@ -17,6 +17,7 @@ from .algebra import (
     FAIL,
     PASS,
     SKIP,
+    CarrierHandle,
     SuiteReport,
     TermlikeAlgebra,
     lifted_term_algebra,
@@ -34,7 +35,7 @@ from .lifting import (
 )
 
 
-class NominalPoset:
+class NominalPoset(CarrierHandle):
     """Ordered carrier handle; complement and substitution are optional."""
 
     def __init__(
@@ -61,23 +62,6 @@ class NominalPoset:
         self.term_enum = term_enum
         self.generate = generate
         self.pool = tuple(pool)
-
-    @property
-    def eq(self):
-        return self.carrier.eq
-
-    @property
-    def act(self):
-        return self.carrier.act
-
-    def is_fresh(self, a: Atom, x) -> bool:
-        return self.carrier.is_fresh(a, x)
-
-    def support(self, x) -> AtomSet:
-        return self.carrier.support(x)
-
-    def support_bound(self, x) -> AtomSet:
-        return self.carrier.support_bound(x)
 
     # -- derived operations ------------------------------------------------
 

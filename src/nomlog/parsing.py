@@ -8,6 +8,10 @@ right as possible; parentheses are allowed anywhere):
     term    ::= atom | f '(' terms ')'
     sequent ::= formulas '|-' formulas          (either side may be empty)
 
+Nesting is limited to MAX_NESTING levels: every `~`, `forall`, `&` and
+opening parenthesis (grouping or argument list) opens one, and the first
+token past the limit is reported as a ParseError at its byte offset.
+
 Identifiers of the shape aN always mean the atom with index N; any other
 bare name in term position is an atom that gets the least index not yet
 assigned to a named atom in the same context.  With no signature, former
@@ -24,6 +28,7 @@ from .errors import ParseError
 from .sequents import Sequent
 from .syntax import All, And, App, Bot, Formula, Neg, Pred, Signature, Term, Var
 
+MAX_NESTING = 256
 _INDEXED = re.compile(r"^a(\d+)$")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -99,6 +104,7 @@ class _Parser:
         self.infer = (sig is None) if infer is None else infer
         self.sig = sig if sig is not None else Signature()
         self.ctx = ctx if ctx is not None else AtomContext()
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -116,6 +122,12 @@ class _Parser:
 
     def at_end(self) -> bool:
         return self.peek().kind == "eof"
+
+    def deeper(self, tok: _Token) -> None:
+        """Open one nesting level at `tok`; the caller closes it afterwards."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"input nested deeper than {MAX_NESTING} levels", tok.offset)
+        self.depth += 1
 
     def finish(self) -> None:
         tok = self.peek()
@@ -160,15 +172,15 @@ class _Parser:
         return Var(self.ctx.atom(tok.text))
 
     def args(self) -> tuple[Term, ...]:
-        self.expect("(")
-        if self.peek().kind == ")":
-            self.next()
-            return ()
-        out = [self.term()]
-        while self.peek().kind == ",":
-            self.next()
+        self.deeper(self.expect("("))
+        out = []
+        if self.peek().kind != ")":
             out.append(self.term())
+            while self.peek().kind == ",":
+                self.next()
+                out.append(self.term())
         self.expect(")")
+        self.depth -= 1
         return tuple(out)
 
     # -- formulas ----------------------------------------------------------
@@ -176,28 +188,35 @@ class _Parser:
     def formula(self) -> Formula:
         left = self.unary()
         if self.peek().kind == "&":
-            self.next()
-            return And(left, self.formula())
+            self.deeper(self.next())
+            right = self.formula()
+            self.depth -= 1
+            return And(left, right)
         return left
 
     def unary(self) -> Formula:
         tok = self.peek()
         if tok.kind == "~":
-            self.next()
-            return Neg(self.unary())
+            self.deeper(self.next())
+            body = self.unary()
+            self.depth -= 1
+            return Neg(body)
         if tok.kind == "ident" and tok.text == "forall":
-            self.next()
-            name = self.expect("ident")
+            self.deeper(self.next())
+            atom = self.ctx.atom(self.expect("ident").text)
             self.expect(".")
-            return All(self.ctx.atom(name.text), self.formula())
+            body = self.formula()
+            self.depth -= 1
+            return All(atom, body)
         return self.atomic()
 
     def atomic(self) -> Formula:
         tok = self.peek()
         if tok.kind == "(":
-            self.next()
+            self.deeper(self.next())
             f = self.formula()
             self.expect(")")
+            self.depth -= 1
             return f
         if tok.kind != "ident":
             raise ParseError(

@@ -7,19 +7,20 @@ Each node is `(Rule item*)` where the items are `(concl "sequent")`,
 `(principal "formula")`, `(witness "term")`, `(eigen name)` and one
 `(premise node)` per premise, in order.  A semicolon starts a line comment.
 Leaves need an explicit conclusion; for inner nodes an omitted conclusion is
-inferred from the premises by reading the rule upwards with the principal
-consumed.  Loading does not check the proof; pass the result to
-`check_derivation`.
+inferred from the premises by `sequents.infer_conclusion`, which reads the
+rule table upwards.  Parentheses nest at most `parsing.MAX_NESTING` deep.
+Loading does not check the proof; pass the result to `check_derivation`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 
 from .errors import DerivationError, ParseError
-from .parsing import AtomContext, parse_formula, parse_sequent, parse_term
-from .sequents import Derivation, RULE_ARITY, Sequent, dedupe, formula_in, without
-from .syntax import All, And, Formula, Neg, Signature, alpha_eq, subst_formula
+from .parsing import MAX_NESTING, AtomContext, parse_formula, parse_sequent, parse_term
+from .sequents import RULES, Derivation, arity_violation, infer_conclusion
+from .syntax import Signature
 
 
 @dataclass(frozen=True)
@@ -29,132 +30,46 @@ class _STok:
     offset: int
 
 
+# Whitespace, a comment, a parenthesis, a string (backslash escapes the next
+# character) or a word.  Only an unterminated string matches none of them.
+_SEXP_TOKEN = re.compile(r'\s+|;[^\n]*|([()])|"((?:\\[\s\S]|[^"\\])*)"|([^\s()"]+)')
+
+
 def _lex_sexp(text: str) -> list[_STok]:
     toks: list[_STok] = []
     i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in "()":
-            toks.append(_STok(ch, ch, i))
-            i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    j += 1
-                out.append(text[j])
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string in proof file", i)
-            toks.append(_STok("str", "".join(out), i))
-            i = j + 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in '()"':
-            j += 1
-        toks.append(_STok("word", text[i:j], i))
-        i = j
-    toks.append(_STok("eof", "", n))
+    while i < len(text):
+        m = _SEXP_TOKEN.match(text, i)
+        if m is None:
+            raise ParseError("unterminated string in proof file", i)
+        paren, string, word = m.groups()
+        if paren:
+            toks.append(_STok(paren, paren, i))
+        elif string is not None:
+            toks.append(_STok("str", re.sub(r"\\([\s\S])", r"\1", string), i))
+        elif word:
+            toks.append(_STok("word", word, i))
+        i = m.end()
+    toks.append(_STok("eof", "", len(text)))
     return toks
 
 
-def _parse_sexp(toks: list[_STok], i: int):
+def _parse_sexp(toks: list[_STok], i: int, depth: int = 0):
     tok = toks[i]
     if tok.kind == "(":
+        if depth == MAX_NESTING:
+            raise ParseError(f"proof nested deeper than {MAX_NESTING} parentheses", tok.offset)
         items = []
         i += 1
         while toks[i].kind != ")":
             if toks[i].kind == "eof":
                 raise ParseError("unbalanced parenthesis in proof file", tok.offset)
-            item, i = _parse_sexp(toks, i)
+            item, i = _parse_sexp(toks, i, depth + 1)
             items.append(item)
         return items, i + 1
     if tok.kind in ("word", "str"):
         return tok, i + 1
     raise ParseError(f"unexpected token {tok.text!r} in proof file", tok.offset)
-
-
-def _infer_conclusion(
-    rule: str,
-    premises: tuple[Derivation, ...],
-    principal: Formula | None,
-    witness,
-    eigen,
-    path: str,
-) -> Sequent:
-    def fail(message: str) -> DerivationError:
-        return DerivationError(f"cannot infer conclusion: {message}", path)
-
-    if rule in ("BotL", "Ax"):
-        raise fail(f"{rule} leaves need an explicit (concl ...)")
-    if principal is None:
-        raise fail(f"{rule} needs a principal formula")
-    prem = premises[0].conclusion
-
-    if rule == "AndL":
-        if not isinstance(principal, And):
-            raise fail("AndL principal is not a conjunction")
-        parts = (principal.left, principal.right)
-        if not all(formula_in(part, prem.left) for part in parts):
-            raise fail("premise left lacks the conjuncts")
-        left = without(without(prem.left, parts[0]), parts[1])
-        return Sequent.of((*left, principal), prem.right)
-
-    if rule == "AndR":
-        if not isinstance(principal, And):
-            raise fail("AndR principal is not a conjunction")
-        p1, p2 = premises[0].conclusion, premises[1].conclusion
-        if not formula_in(principal.left, p1.right):
-            raise fail("first premise right lacks the left conjunct")
-        if not formula_in(principal.right, p2.right):
-            raise fail("second premise right lacks the right conjunct")
-        return Sequent.of(p1.left, (*without(p1.right, principal.left), principal))
-
-    if rule == "NegL":
-        if not isinstance(principal, Neg):
-            raise fail("NegL principal is not a negation")
-        if not formula_in(principal.body, prem.right):
-            raise fail("premise right lacks the negated body")
-        return Sequent.of((*prem.left, principal), without(prem.right, principal.body))
-
-    if rule == "NegR":
-        if not isinstance(principal, Neg):
-            raise fail("NegR principal is not a negation")
-        if not formula_in(principal.body, prem.left):
-            raise fail("premise left lacks the negated body")
-        return Sequent.of(without(prem.left, principal.body), (*prem.right, principal))
-
-    if rule == "AllL":
-        if not isinstance(principal, All):
-            raise fail("AllL principal is not a universal")
-        if witness is None:
-            raise fail("AllL needs a witness term")
-        inst = subst_formula(principal.body, principal.atom, witness)
-        if not formula_in(inst, prem.left):
-            raise fail("premise left lacks the witness instance")
-        return Sequent.of((*without(prem.left, inst), principal), prem.right)
-
-    if rule == "AllR":
-        if not isinstance(principal, All):
-            raise fail("AllR principal is not a universal")
-        if eigen is None:
-            raise fail("AllR needs an eigen atom")
-        body = next((g for g in prem.right if alpha_eq(All(eigen, g), principal)), None)
-        if body is None:
-            raise fail("premise right lacks the body at the eigen atom")
-        return Sequent.of(prem.left, (*without(prem.right, body), principal))
-
-    raise fail(f"unknown rule {rule!r}")
 
 
 def load_proof(
@@ -173,7 +88,7 @@ def load_proof(
         if not isinstance(node, list) or not node or not isinstance(node[0], _STok):
             raise DerivationError("malformed proof node", path)
         rule = node[0].text
-        if rule not in RULE_ARITY:
+        if rule not in RULES:
             raise DerivationError(f"unknown rule {rule!r}", path)
         concl = principal = witness = eigen = None
         premises: list[Derivation] = []
@@ -203,20 +118,13 @@ def load_proof(
                     raise DerivationError(f"unknown item {head!r} under {rule}", path)
             except ParseError as exc:
                 raise DerivationError(f"in ({head} ...): {exc}", path) from exc
-        if len(premises) != RULE_ARITY[rule]:
-            raise DerivationError(
-                f"{rule} takes {RULE_ARITY[rule]} premises, got {len(premises)}", path
-            )
+        message = arity_violation(rule, len(premises))
+        if message is not None:
+            raise DerivationError(message, path)
+        d = Derivation(rule, concl, tuple(premises), principal, witness, eigen)
         if concl is None:
-            concl = _infer_conclusion(rule, tuple(premises), principal, witness, eigen, path)
-        return Derivation(
-            rule=rule,
-            conclusion=concl,
-            premises=tuple(premises),
-            principal=principal,
-            witness=witness,
-            eigen=eigen,
-        )
+            d = replace(d, conclusion=infer_conclusion(d, path))
+        return d
 
     return build(tree, "")
 

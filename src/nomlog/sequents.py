@@ -1,17 +1,23 @@
 """Sequents as alpha-sets of formulas, and the proof rules over them.
 
 A sequent stores each side deduplicated up to alpha-equivalence; membership,
-removal, and sequent equality are all alpha-aware.  `check_node` verifies one
-rule application; since contexts are sets, a rule instance may keep or drop
-its principal formula in the premise, and both variants are accepted.  Ax is
-an explicit identity rule on top of the connective rules, without which no
-atomic sequent would be derivable.
+removal, and sequent equality are all alpha-aware.
+
+`RULES` is the one table of rules.  A connective rule is fixed by its arity,
+the side and connective of its principal formula, and the parts each premise
+gets in its place: AndL puts both conjuncts on the same side, NegL the body on
+the other side, AllL the instance at the witness, AllR the body at a fresh
+eigen atom.  `node_violation` checks one application reading a rule
+downwards; `infer_conclusion` reads it upwards to fill in an omitted
+conclusion.  Since contexts are sets, a premise may keep or drop the
+principal.  The leaves BotL and Ax carry their own checks; Ax is an explicit
+identity rule, without which no atomic sequent would be derivable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .atoms import Atom, AtomSet, Perm
 from .errors import DerivationError
@@ -42,8 +48,8 @@ def dedupe(fs: Iterable[Formula]) -> tuple[Formula, ...]:
     return tuple(out)
 
 
-def without(fs: Iterable[Formula], f: Formula) -> tuple[Formula, ...]:
-    return tuple(g for g in fs if not alpha_eq(g, f))
+def without(fs: Iterable[Formula], *drop: Formula) -> tuple[Formula, ...]:
+    return tuple(g for g in fs if not any(alpha_eq(g, f) for f in drop))
 
 
 def same_formula_set(xs: Iterable[Formula], ys: Iterable[Formula]) -> bool:
@@ -99,153 +105,179 @@ class Derivation:
     eigen: Atom | None = None
 
 
-RULE_ARITY = {
-    "BotL": 0,
-    "Ax": 0,
-    "AndL": 1,
-    "AndR": 2,
-    "NegL": 1,
-    "NegR": 1,
-    "AllL": 1,
-    "AllR": 1,
+def _orient(pair: tuple, side: str) -> tuple:
+    """Swap a (left, right) pair into (side, other side), and back."""
+    return pair if side == "left" else pair[::-1]
+
+
+def _botl(d: Derivation) -> str | None:
+    if not formula_in(Bot(), d.conclusion.left):
+        return "BotL needs bot on the left"
+    return None
+
+
+def _ax(d: Derivation) -> str | None:
+    c, p = d.conclusion, d.principal
+    if p is None:
+        if not any(formula_in(f, c.right) for f in c.left):
+            return "Ax needs a formula shared by both sides"
+        return None
+    for side in ("left", "right"):
+        if not formula_in(p, getattr(c, side)):
+            return f"Ax principal {p} is not on the {side}"
+    return None
+
+
+def _eigen_body(p: All, witness, eigen: Atom, premises) -> tuple | None:
+    body = next((g for g in premises[0].right if alpha_eq(All(eigen, g), p)), None)
+    return None if body is None else (((body,), ()),)
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One sequent rule.  `parts(principal, witness, eigen, premises)` gives,
+    per premise, the parts landing on the principal's side and those landing
+    on the other side, or None when the premises do not exhibit them."""
+
+    arity: int
+    side: str = ""  # where the principal sits: "left" or "right"
+    connective: type | None = None
+    noun: str = ""
+    parts: Callable[..., tuple | None] | None = None
+    wrong: str = ""  # a premise's principal side is not the expected one
+    lacks: tuple[str, ...] = ()  # per premise: inference misses a part
+    needs: str = ""  # "witness" or "eigen": the field the rule requires
+    absent: str = ""  # `parts` found nothing
+    leaf: Callable[[Derivation], str | None] | None = None  # a leaf's own check
+
+
+_NEEDS = {"witness": "a witness term", "eigen": "an eigen atom"}
+
+RULES = {
+    "BotL": Rule(0, leaf=_botl),
+    "Ax": Rule(0, leaf=_ax),
+    "AndL": Rule(
+        1, "left", And, "conjunction",
+        lambda p, w, e, prems: (((p.left, p.right), ()),),
+        wrong="does not decompose {p}",
+        lacks=("premise left lacks the conjuncts",),
+    ),
+    "AndR": Rule(
+        2, "right", And, "conjunction",
+        lambda p, w, e, prems: (((p.left,), ()), ((p.right,), ())),
+        wrong="does not prove {0}",
+        lacks=(
+            "first premise right lacks the left conjunct",
+            "second premise right lacks the right conjunct",
+        ),
+    ),
+    "NegL": Rule(
+        1, "left", Neg, "negation",
+        lambda p, w, e, prems: (((), (p.body,)),),
+        wrong="must only discharge the principal",
+        lacks=("premise right lacks the negated body",),
+    ),
+    "NegR": Rule(
+        1, "right", Neg, "negation",
+        lambda p, w, e, prems: (((), (p.body,)),),
+        wrong="must only discharge the principal",
+        lacks=("premise left lacks the negated body",),
+    ),
+    "AllL": Rule(
+        1, "left", All, "universal",
+        lambda p, w, e, prems: (((subst_formula(p.body, p.atom, w),), ()),),
+        wrong="must add the instance {0}",
+        lacks=("premise left lacks the witness instance",),
+        needs="witness",
+    ),
+    "AllR": Rule(
+        1, "right", All, "universal", _eigen_body,
+        wrong="must only replace the principal by its body",
+        lacks=("premise right lacks the body at the eigen atom",),
+        needs="eigen",
+        absent="lacks the body of {p} at eigen atom {e}",
+    ),
 }
 
 
-def _matches_with_parts(
-    premise_side: tuple[Formula, ...],
-    conclusion_side: tuple[Formula, ...],
-    principal: Formula,
-    parts: tuple[Formula, ...],
-) -> bool:
-    """Premise side must be the conclusion side with the principal replaced by
-    the parts; the principal itself may be kept (contexts are sets)."""
-    dropped = dedupe((*without(conclusion_side, principal), *parts))
-    kept = dedupe((*conclusion_side, *parts))
-    return same_formula_set(premise_side, dropped) or same_formula_set(premise_side, kept)
+def arity_violation(rule: str, premises: int) -> str | None:
+    if rule not in RULES:
+        return f"unknown rule {rule!r}"
+    if premises != RULES[rule].arity:
+        return f"{rule} takes {RULES[rule].arity} premises, got {premises}"
+    return None
 
 
 def node_violation(d: Derivation) -> str | None:
     """None if the conclusion follows from the premises by the named rule,
     else a message naming the first violated condition."""
-    if d.rule not in RULE_ARITY:
-        return f"unknown rule {d.rule!r}"
-    if len(d.premises) != RULE_ARITY[d.rule]:
-        return f"{d.rule} takes {RULE_ARITY[d.rule]} premises, got {len(d.premises)}"
-    c = d.conclusion
-
-    if d.rule == "BotL":
-        if not formula_in(Bot(), c.left):
-            return "BotL needs bot on the left"
-        return None
-
-    if d.rule == "Ax":
-        if d.principal is not None:
-            if not formula_in(d.principal, c.left):
-                return f"Ax principal {d.principal} is not on the left"
-            if not formula_in(d.principal, c.right):
-                return f"Ax principal {d.principal} is not on the right"
-            return None
-        if not any(formula_in(f, c.right) for f in c.left):
-            return "Ax needs a formula shared by both sides"
-        return None
-
+    message = arity_violation(d.rule, len(d.premises))
+    if message is not None:
+        return message
+    r = RULES[d.rule]
+    if r.leaf is not None:
+        return r.leaf(d)
     p = d.principal
     if p is None:
         return f"{d.rule} needs a principal formula"
+    if not isinstance(p, r.connective):
+        return f"{d.rule} principal {p} is not a {r.noun}"
+    side, other = _orient(("left", "right"), r.side)
+    c_side, c_other = _orient((d.conclusion.left, d.conclusion.right), side)
+    if not formula_in(p, c_side):
+        return f"{d.rule} principal {p} is not on the {side}"
+    if r.needs and getattr(d, r.needs) is None:
+        return f"{d.rule} needs {_NEEDS[r.needs]}"
+    rest = without(c_side, p)
+    if r.needs == "eigen" and d.eigen in fa_sequent(Sequent(rest, c_other)):
+        return f"{d.rule} eigen atom {d.eigen} occurs free in the conclusion context"
+    premises = tuple(prem.conclusion for prem in d.premises)
+    parts = r.parts(p, d.witness, d.eigen, premises)
+    if parts is None:
+        return f"{d.rule} premise {side} " + r.absent.format(p=p, e=d.eigen)
+    for prem, (same, moved) in zip(premises, parts):
+        prem_side, prem_other = _orient((prem.left, prem.right), side)
+        if not same_formula_set(prem_other, (*c_other, *moved)):
+            if moved:
+                return f"{d.rule} premise {other} must add {moved[0]}"
+            return f"{d.rule} premise changed the {other} side"
+        # The premise may keep the principal or drop it, as contexts are sets;
+        # no part is alpha-equal to its principal, which is strictly larger.
+        if not same_formula_set(without(prem_side, p), (*rest, *same)):
+            return f"{d.rule} premise {side} " + r.wrong.format(*same, p=p)
+    return None
 
-    if d.rule == "AndL":
-        if not isinstance(p, And):
-            return f"AndL principal {p} is not a conjunction"
-        if not formula_in(p, c.left):
-            return f"AndL principal {p} is not on the left"
-        prem = d.premises[0].conclusion
-        if not same_formula_set(prem.right, c.right):
-            return "AndL premise changed the right side"
-        if not _matches_with_parts(prem.left, c.left, p, (p.left, p.right)):
-            return f"AndL premise left does not decompose {p}"
-        return None
 
-    if d.rule == "AndR":
-        if not isinstance(p, And):
-            return f"AndR principal {p} is not a conjunction"
-        if not formula_in(p, c.right):
-            return f"AndR principal {p} is not on the right"
-        for prem, part in zip(d.premises, (p.left, p.right)):
-            if not same_formula_set(prem.conclusion.left, c.left):
-                return "AndR premise changed the left side"
-            if not _matches_with_parts(prem.conclusion.right, c.right, p, (part,)):
-                return f"AndR premise right does not prove {part}"
-        return None
+def infer_conclusion(d: Derivation, path: str = "") -> Sequent:
+    """Read `d`'s rule upwards, ignoring `d.conclusion`: the first premise's
+    sequent with the parts consumed and the principal added.  Raises a
+    DerivationError at `path` when the premises do not fit the rule."""
 
-    if d.rule == "NegL":
-        if not isinstance(p, Neg):
-            return f"NegL principal {p} is not a negation"
-        if not formula_in(p, c.left):
-            return f"NegL principal {p} is not on the left"
-        prem = d.premises[0].conclusion
-        if not same_formula_set(prem.right, dedupe((*c.right, p.body))):
-            return f"NegL premise right must add {p.body}"
-        dropped, kept = without(c.left, p), c.left
-        if not (same_formula_set(prem.left, dropped) or same_formula_set(prem.left, kept)):
-            return "NegL premise left must only discharge the principal"
-        return None
+    def fail(message: str) -> DerivationError:
+        return DerivationError(f"cannot infer conclusion: {message}", path)
 
-    if d.rule == "NegR":
-        if not isinstance(p, Neg):
-            return f"NegR principal {p} is not a negation"
-        if not formula_in(p, c.right):
-            return f"NegR principal {p} is not on the right"
-        prem = d.premises[0].conclusion
-        if not same_formula_set(prem.left, dedupe((*c.left, p.body))):
-            return f"NegR premise left must add {p.body}"
-        dropped, kept = without(c.right, p), c.right
-        if not (same_formula_set(prem.right, dropped) or same_formula_set(prem.right, kept)):
-            return "NegR premise right must only discharge the principal"
-        return None
-
-    if d.rule == "AllL":
-        if not isinstance(p, All):
-            return f"AllL principal {p} is not a universal"
-        if not formula_in(p, c.left):
-            return f"AllL principal {p} is not on the left"
-        if d.witness is None:
-            return "AllL needs a witness term"
-        inst = subst_formula(p.body, p.atom, d.witness)
-        prem = d.premises[0].conclusion
-        if not same_formula_set(prem.right, c.right):
-            return "AllL premise changed the right side"
-        kept = dedupe((*c.left, inst))
-        dropped = dedupe((*without(c.left, p), inst))
-        if not (same_formula_set(prem.left, kept) or same_formula_set(prem.left, dropped)):
-            return f"AllL premise left must add the instance {inst}"
-        return None
-
-    if d.rule == "AllR":
-        if not isinstance(p, All):
-            return f"AllR principal {p} is not a universal"
-        if not formula_in(p, c.right):
-            return f"AllR principal {p} is not on the right"
-        if d.eigen is None:
-            return "AllR needs an eigen atom"
-        e = d.eigen
-        context_fa = AtomSet(
-            a
-            for f in (*c.left, *without(c.right, p))
-            for a in fa_formula(f)
-        )
-        if e in context_fa:
-            return f"AllR eigen atom {e} occurs free in the conclusion context"
-        prem = d.premises[0].conclusion
-        body = next((g for g in prem.right if alpha_eq(All(e, g), p)), None)
-        if body is None:
-            return f"AllR premise right lacks the body of {p} at eigen atom {e}"
-        if not same_formula_set(prem.left, c.left):
-            return "AllR premise changed the left side"
-        if not _matches_with_parts(prem.right, c.right, p, (body,)):
-            return "AllR premise right must only replace the principal by its body"
-        return None
-
-    raise AssertionError(d.rule)
+    r, p = RULES[d.rule], d.principal
+    if r.leaf is not None:
+        raise fail(f"{d.rule} leaves need an explicit (concl ...)")
+    if p is None:
+        raise fail(f"{d.rule} needs a principal formula")
+    if not isinstance(p, r.connective):
+        raise fail(f"{d.rule} principal is not a {r.noun}")
+    if r.needs and getattr(d, r.needs) is None:
+        raise fail(f"{d.rule} needs {_NEEDS[r.needs]}")
+    premises = tuple(prem.conclusion for prem in d.premises)
+    parts = r.parts(p, d.witness, d.eigen, premises)
+    for i, prem in enumerate(premises):
+        prem_side, prem_other = _orient((prem.left, prem.right), r.side)
+        if parts is None or not (
+            all(formula_in(f, prem_side) for f in parts[i][0])
+            and all(formula_in(f, prem_other) for f in parts[i][1])
+        ):
+            raise fail(r.lacks[i])
+    (same, moved), prem = parts[0], premises[0]
+    prem_side, prem_other = _orient((prem.left, prem.right), r.side)
+    sides = ((*without(prem_side, *same), p), without(prem_other, *moved))
+    return Sequent.of(*_orient(sides, r.side))
 
 
 def check_node(d: Derivation) -> bool:

@@ -171,15 +171,6 @@ def test_countermodel_budget(capsys):
     assert "budget is 1000" in err
 
 
-def test_countermodel_threads_env(capsys, monkeypatch):
-    argv = ("countermodel", "--sequent", "P(a) |- forall a. P(a)", "--max-size", "2")
-    _, lone, _ = run(capsys, *argv)
-    monkeypatch.setenv("NOMLOG_THREADS", "2")
-    code, threaded, _ = run(capsys, *argv)
-    assert code == 0
-    assert threaded == lone
-
-
 def test_bridge_test(capsys):
     code, out, _ = run(capsys, "bridge-test", "--trials", "30")
     assert code == 0
@@ -193,3 +184,49 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["countermodel"])  # missing required --sequent
     assert e.value.code == 2
+
+
+LIMIT = 256  # nomlog.parsing.MAX_NESTING
+
+# Formulas nested exactly LIMIT levels deep, and the same shapes one level
+# deeper.  Every ~, forall, & and opening parenthesis opens a level.
+AT_LIMIT = {
+    "negation": ("~" * LIMIT + "bot", "~" * (LIMIT + 1) + "bot"),
+    "parentheses": ("(" * LIMIT + "bot" + ")" * LIMIT,
+                    "(" * (LIMIT + 1) + "bot" + ")" * (LIMIT + 1)),
+    "forall": ("forall a. " * (LIMIT - 1) + "P(a)", "forall a. " * LIMIT + "P(a)"),
+    "conjunction": ("P & " * LIMIT + "P", "P & " * (LIMIT + 1) + "P"),
+    "terms": ("P(" + "f(" * (LIMIT - 1) + "a" + ")" * LIMIT,
+              "P(" + "f(" * LIMIT + "a" + ")" * (LIMIT + 1)),
+}
+
+
+@pytest.mark.parametrize("shape", AT_LIMIT)
+def test_nesting_at_the_limit_runs(capsys, shape):
+    ok, too_deep = AT_LIMIT[shape]
+    code, _, _ = run(capsys, "parse", ok)
+    assert code == 0
+    code, out, _ = run(capsys, "countermodel", "--sequent", f"|- {ok}", "--max-size", "1")
+    assert code in (0, 1) and out.startswith("found=")
+    code, _, err = run(capsys, "parse", too_deep)
+    assert code == 2
+    assert err.startswith(f"error: input nested deeper than {LIMIT} levels (at byte ")
+
+
+@pytest.mark.parametrize("text", ["~" * 3000 + "bot", "(" * 3000 + "bot" + ")" * 3000,
+                                  "forall a. " * 3000 + "bot"])
+def test_deep_formula_exits_2(capsys, text):
+    code, _, err = run(capsys, "parse", text)
+    assert code == 2
+    assert err.startswith(f"error: input nested deeper than {LIMIT} levels")
+    code, _, err = run(capsys, "countermodel", "--sequent", f"{text} |-", "--max-size", "1")
+    assert code == 2
+    assert err.startswith(f"error: input nested deeper than {LIMIT} levels")
+
+
+def test_deep_proof_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.prf"
+    path.write_text("(" * 3000)
+    code, _, err = run(capsys, "check-proof", str(path))
+    assert code == 2
+    assert err == f"error: proof nested deeper than {LIMIT} parentheses (at byte {LIMIT})\n"

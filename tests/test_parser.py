@@ -126,3 +126,13 @@ def test_parse_signature_rejects_garbage():
         parse_signature("fun f")
     with pytest.raises(ParseError):
         parse_signature("pred P/one")
+
+
+def test_nesting_limit_reports_the_first_token_past_it():
+    from nomlog.parsing import MAX_NESTING
+
+    parse_formula("~" * MAX_NESTING + "bot")
+    with pytest.raises(ParseError) as e:
+        parse_formula("P(a) & " + "~" * (MAX_NESTING + 10) + "bot")
+    # "P(a)" opens and closes one level; the & opens one, then 255 ~ fit.
+    assert e.value.offset == len("P(a) & ") + MAX_NESTING - 1

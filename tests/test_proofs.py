@@ -115,3 +115,14 @@ def test_format_is_indented():
     out = format_proof(d)
     assert out.splitlines()[1].startswith("  (premise")
     assert out.splitlines()[2].startswith("    (BotL")
+
+
+def test_proof_nesting_limit():
+    from nomlog.parsing import MAX_NESTING
+
+    # at the limit the s-expression parses, then fails as a proof node
+    with pytest.raises(DerivationError, match="malformed proof node"):
+        load_proof("(" * MAX_NESTING + ")" * MAX_NESTING)
+    with pytest.raises(ParseError, match="nested deeper") as e:
+        load_proof("(" * (MAX_NESTING + 1) + ")" * (MAX_NESTING + 1))
+    assert e.value.offset == MAX_NESTING
