@@ -203,8 +203,10 @@ class _Parser:
             return Neg(body)
         if tok.kind == "ident" and tok.text == "forall":
             self.deeper(self.next())
-            atom = self.ctx.atom(self.expect("ident").text)
+            name = self.expect("ident")
             self.expect(".")
+            # The binder is named before its body, so it takes the lower index.
+            atom = self.ctx.atom(name.text)
             body = self.formula()
             self.depth -= 1
             return All(atom, body)

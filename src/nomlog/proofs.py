@@ -14,7 +14,6 @@ Loading does not check the proof; pass the result to `check_derivation`.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 
 from .errors import DerivationError, ParseError
@@ -30,27 +29,42 @@ class _STok:
     offset: int
 
 
-# Whitespace, a comment, a parenthesis, a string (backslash escapes the next
-# character) or a word.  Only an unterminated string matches none of them.
-_SEXP_TOKEN = re.compile(r'\s+|;[^\n]*|([()])|"((?:\\[\s\S]|[^"\\])*)"|([^\s()"]+)')
-
-
 def _lex_sexp(text: str) -> list[_STok]:
     toks: list[_STok] = []
     i = 0
-    while i < len(text):
-        m = _SEXP_TOKEN.match(text, i)
-        if m is None:
-            raise ParseError("unterminated string in proof file", i)
-        paren, string, word = m.groups()
-        if paren:
-            toks.append(_STok(paren, paren, i))
-        elif string is not None:
-            toks.append(_STok("str", re.sub(r"\\([\s\S])", r"\1", string), i))
-        elif word:
-            toks.append(_STok("word", word, i))
-        i = m.end()
-    toks.append(_STok("eof", "", len(text)))
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch in "()":
+            toks.append(_STok(ch, ch, i))
+            i += 1
+            continue
+        if ch == '"':
+            j = i + 1
+            out = []
+            while j < n and text[j] != '"':
+                if text[j] == "\\" and j + 1 < n:
+                    j += 1
+                out.append(text[j])
+                j += 1
+            if j >= n:
+                raise ParseError("unterminated string in proof file", i)
+            toks.append(_STok("str", "".join(out), i))
+            i = j + 1
+            continue
+        j = i
+        while j < n and not text[j].isspace() and text[j] not in '()"':
+            j += 1
+        toks.append(_STok("word", text[i:j], i))
+        i = j
+    toks.append(_STok("eof", "", n))
     return toks
 
 

@@ -128,30 +128,44 @@ def _ax(d: Derivation) -> str | None:
     return None
 
 
-def _eigen_body(p: All, witness, eigen: Atom, premises) -> tuple | None:
+def _needs_witness(d: Derivation, context) -> str | None:
+    return "needs a witness term" if d.witness is None else None
+
+
+def _fresh_eigen(d: Derivation, context) -> str | None:
+    if d.eigen is None:
+        return "needs an eigen atom"
+    if context is not None and d.eigen in AtomSet(a for f in context for a in fa_formula(f)):
+        return f"eigen atom {d.eigen} occurs free in the conclusion context"
+    return None
+
+
+def _eigen_body(p: All, witness, eigen: Atom, premises) -> tuple | str:
     body = next((g for g in premises[0].right if alpha_eq(All(eigen, g), p)), None)
-    return None if body is None else (((body,), ()),)
+    if body is None:
+        return f"premise right lacks the body of {p} at eigen atom {eigen}"
+    return (((body,), ()),)
 
 
 @dataclass(frozen=True)
 class Rule:
     """One sequent rule.  `parts(principal, witness, eigen, premises)` gives,
     per premise, the parts landing on the principal's side and those landing
-    on the other side, or None when the premises do not exhibit them."""
+    on the other side, or a message when the premises do not exhibit them.
+    `guard(d, context)` checks the rule's side conditions before that; the
+    context is the conclusion without the principal, or None when the
+    conclusion is being inferred."""
 
     arity: int
     side: str = ""  # where the principal sits: "left" or "right"
     connective: type | None = None
     noun: str = ""
-    parts: Callable[..., tuple | None] | None = None
+    parts: Callable[..., tuple | str] | None = None
     wrong: str = ""  # a premise's principal side is not the expected one
     lacks: tuple[str, ...] = ()  # per premise: inference misses a part
-    needs: str = ""  # "witness" or "eigen": the field the rule requires
-    absent: str = ""  # `parts` found nothing
+    guard: Callable[[Derivation, tuple | None], str | None] = lambda d, context: None
     leaf: Callable[[Derivation], str | None] | None = None  # a leaf's own check
 
-
-_NEEDS = {"witness": "a witness term", "eigen": "an eigen atom"}
 
 RULES = {
     "BotL": Rule(0, leaf=_botl),
@@ -188,14 +202,13 @@ RULES = {
         lambda p, w, e, prems: (((subst_formula(p.body, p.atom, w),), ()),),
         wrong="must add the instance {0}",
         lacks=("premise left lacks the witness instance",),
-        needs="witness",
+        guard=_needs_witness,
     ),
     "AllR": Rule(
         1, "right", All, "universal", _eigen_body,
         wrong="must only replace the principal by its body",
         lacks=("premise right lacks the body at the eigen atom",),
-        needs="eigen",
-        absent="lacks the body of {p} at eigen atom {e}",
+        guard=_fresh_eigen,
     ),
 }
 
@@ -226,15 +239,14 @@ def node_violation(d: Derivation) -> str | None:
     c_side, c_other = _orient((d.conclusion.left, d.conclusion.right), side)
     if not formula_in(p, c_side):
         return f"{d.rule} principal {p} is not on the {side}"
-    if r.needs and getattr(d, r.needs) is None:
-        return f"{d.rule} needs {_NEEDS[r.needs]}"
     rest = without(c_side, p)
-    if r.needs == "eigen" and d.eigen in fa_sequent(Sequent(rest, c_other)):
-        return f"{d.rule} eigen atom {d.eigen} occurs free in the conclusion context"
     premises = tuple(prem.conclusion for prem in d.premises)
+    message = r.guard(d, (*rest, *c_other))
+    if message is not None:
+        return f"{d.rule} {message}"
     parts = r.parts(p, d.witness, d.eigen, premises)
-    if parts is None:
-        return f"{d.rule} premise {side} " + r.absent.format(p=p, e=d.eigen)
+    if isinstance(parts, str):
+        return f"{d.rule} {parts}"
     for prem, (same, moved) in zip(premises, parts):
         prem_side, prem_other = _orient((prem.left, prem.right), side)
         if not same_formula_set(prem_other, (*c_other, *moved)):
@@ -263,13 +275,14 @@ def infer_conclusion(d: Derivation, path: str = "") -> Sequent:
         raise fail(f"{d.rule} needs a principal formula")
     if not isinstance(p, r.connective):
         raise fail(f"{d.rule} principal is not a {r.noun}")
-    if r.needs and getattr(d, r.needs) is None:
-        raise fail(f"{d.rule} needs {_NEEDS[r.needs]}")
+    message = r.guard(d, None)
+    if message is not None:
+        raise fail(f"{d.rule} {message}")
     premises = tuple(prem.conclusion for prem in d.premises)
     parts = r.parts(p, d.witness, d.eigen, premises)
     for i, prem in enumerate(premises):
         prem_side, prem_other = _orient((prem.left, prem.right), r.side)
-        if parts is None or not (
+        if isinstance(parts, str) or not (
             all(formula_in(f, prem_side) for f in parts[i][0])
             and all(formula_in(f, prem_other) for f in parts[i][1])
         ):

@@ -164,6 +164,14 @@ def test_countermodel_not_found(capsys):
     assert out == "found=no\n"
 
 
+def test_countermodel_binder_takes_the_lower_index(capsys):
+    # x is named first and becomes a0, so y (a1) and the right's a0 differ
+    code, out, _ = run(capsys, "countermodel", "--sequent", "forall x. P(y) |- P(a0)",
+                       "--max-size", "2")
+    assert code == 0
+    assert out.startswith("found=yes\n") and "valuation: a0=1, y=0\n" in out
+
+
 def test_countermodel_budget(capsys):
     code, _, err = run(capsys, "countermodel", "--sequent",
                        "Q(a, b) |- forall a. Q(a, a)", "--budget", "1000")

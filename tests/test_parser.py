@@ -136,3 +136,15 @@ def test_nesting_limit_reports_the_first_token_past_it():
         parse_formula("P(a) & " + "~" * (MAX_NESTING + 10) + "bot")
     # "P(a)" opens and closes one level; the & opens one, then 255 ~ fit.
     assert e.value.offset == len("P(a) & ") + MAX_NESTING - 1
+
+
+def test_binder_is_named_before_its_body():
+    ctx = AtomContext()
+    f = parse_formula("forall x. P(y) & Q(x)", ctx=ctx)
+    assert ctx.atom("x") == Atom(0) and ctx.atom("y") == Atom(1)
+    assert f == All(a, And(Pred("P", (Var(b),)), Pred("Q", (Var(a),))))
+    # a binder without its dot names nothing in a shared context
+    ctx = AtomContext()
+    with pytest.raises(ParseError):
+        parse_formula("forall x P(x)", ctx=ctx)
+    assert ctx.atom("z") == Atom(0)
