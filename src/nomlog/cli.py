@@ -29,7 +29,7 @@ from .algebra import (
     term_algebra,
 )
 from .atoms import AtomSet
-from .errors import DerivationError, NomlogError, SearchBudgetError
+from .errors import DerivationError, NomlogError, ProofFormatError, SearchBudgetError
 from .gen import (
     atom_pool,
     default_signature,
@@ -100,6 +100,8 @@ def cmd_check_proof(args) -> int:
     try:
         d = load_proof(text, sig)
         check_derivation(d)
+    except ProofFormatError:
+        raise
     except DerivationError as e:
         if args.format == "machine":
             print("ok=false")
@@ -271,7 +273,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except SearchBudgetError as e:
+    except (SearchBudgetError, ProofFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except DerivationError as e:

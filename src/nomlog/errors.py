@@ -41,5 +41,9 @@ class DerivationError(NomlogError):
         super().__init__(f"{path or 'root'}: {message}")
 
 
+class ProofFormatError(DerivationError):
+    """A proof file that does not describe a derivation tree at all."""
+
+
 class SearchBudgetError(NomlogError):
     pass

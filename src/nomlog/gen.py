@@ -7,7 +7,7 @@ import random
 from typing import Sequence
 
 from .atoms import Atom, AtomSet, Perm
-from .lifting import LiftedElem, _canonical
+from .lifting import LiftedElem, canonicalize
 from .models import OrdinaryModel, Valuation
 from .syntax import All, And, App, Bot, Formula, Neg, Pred, Signature, Term, Var
 
@@ -87,7 +87,7 @@ def rand_lifted(
         rng.choice(tuple(values))
         for _ in range(len(carrier) ** len(deps))
     )
-    return _canonical(carrier, deps, table)
+    return canonicalize(LiftedElem(carrier, deps, table))
 
 
 def rand_lifted_bool(

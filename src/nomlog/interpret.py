@@ -27,6 +27,7 @@ from .lifting import (
     bot_lift,
     dump_lifted,
     eval_at,
+    first_gap,
     fresh_glb_lift,
     le_lift,
     lift_fn,
@@ -201,14 +202,8 @@ def refute(model: OrdinaryModel, seq: Sequent) -> Countermodel | None:
     """The witnessing gap in this model, or None when the sequent holds."""
     left = denote_glb(model, seq.left)
     right = denote_lub(model, seq.right)
-    if le_lift(left, right):
-        return None
-    deps = tuple(AtomSet(left.deps) | AtomSet(right.deps))
-    for values in itertools.product(model.carrier, repeat=len(deps)):
-        v = Valuation.of(zip(deps, values))
-        if eval_at(left, v) and not eval_at(right, v):
-            return Countermodel(model, v, left, right)
-    raise AssertionError("le_lift said false but no gap assignment exists")
+    gap = first_gap(left, right)
+    return None if gap is None else Countermodel(model, gap, left, right)
 
 
 def countermodel_search(

@@ -8,15 +8,22 @@ operations below work uniformly except where noted.
 
 Over a one-element carrier every element canonicalizes to a constant; that
 degenerate case is deliberately supported.
+
+Every operation first realigns its inputs to one common list of coordinates
+and then combines them cell by cell.  The realignment is the only place that
+turns an assignment into a table position: `_gather` computes that index map
+from the carrier size and the two atom lists alone, so it is cached, and the
+same few shapes recur for every model a search visits.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .atoms import Atom, AtomSet, Carrier, Perm
+from .atoms import Atom, AtomSet, Carrier, Perm, fresh_atom
 from .errors import ArityError, UnknownSymbolError
 from .models import OrdinaryModel, Valuation
 
@@ -37,48 +44,46 @@ class LiftedElem:
             raise ValueError("deps must be strictly ascending")
 
 
+@functools.lru_cache(maxsize=1024)
+def _gather(k: int, src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...]:
+    """For each assignment to the atom indices `dst`, in product order, the
+    position of that assignment in a table over `src`.  A `src` atom missing
+    from `dst` is read at its first value; a `dst` atom missing from `src`
+    leaves the position unchanged."""
+    strides = {i: k ** (len(src) - 1 - n) for n, i in enumerate(src)}
+    positions = [0]
+    for i in dst:
+        stride = strides.get(i, 0)
+        positions = [p + d * stride for p in positions for d in range(k)]
+    return tuple(positions)
+
+
+def _spread(x: LiftedElem, dst: Sequence[Atom], src: Sequence[Atom] | None = None) -> tuple:
+    """x's values at each assignment to `dst`, in product order, with x's
+    coordinates named `src` (its own deps by default)."""
+    src = x.deps if src is None else src
+    where = _gather(len(x.carrier), tuple(a.index for a in src), tuple(a.index for a in dst))
+    return tuple(map(x.values.__getitem__, where))
+
+
 def _canonical(carrier: tuple[int, ...], deps: tuple[Atom, ...], values: tuple) -> LiftedElem:
-    """Drop every coordinate the table does not genuinely depend on."""
+    """Drop every coordinate the table does not genuinely depend on: those
+    where reading the coordinate at its first value changes nothing."""
     k = len(carrier)
-    n = len(deps)
-    if n == 0 or k == 1:
-        return LiftedElem(carrier, (), (values[0],))
-    relevant: list[int] = []
-    for i in range(n):
-        stride = k ** (n - 1 - i)
-        block = stride * k
-        found = False
-        for base in range(0, len(values), block):
-            for off in range(base, base + stride):
-                first = values[off]
-                if any(values[off + d * stride] != first for d in range(1, k)):
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            relevant.append(i)
-    if len(relevant) == n:
+    src = tuple(a.index for a in deps)
+
+    def read(dst: tuple[int, ...]) -> tuple:
+        return tuple(map(values.__getitem__, _gather(k, src, dst)))
+
+    # -1 is no atom's index, so reading through it pins coordinate n.
+    kept = tuple(a for n, a in enumerate(deps) if read((*src[:n], -1, *src[n + 1 :])) != values)
+    if kept == deps:
         return LiftedElem(carrier, deps, values)
-    new_deps = tuple(deps[i] for i in relevant)
-    strides = [k ** (n - 1 - i) for i in relevant]
-    new_values = []
-    for t in itertools.product(range(k), repeat=len(new_deps)):
-        new_values.append(values[sum(p * s for p, s in zip(t, strides))])
-    return LiftedElem(carrier, new_deps, tuple(new_values))
+    return LiftedElem(carrier, kept, read(tuple(a.index for a in kept)))
 
 
 def canonicalize(f: LiftedElem) -> LiftedElem:
     return _canonical(f.carrier, f.deps, f.values)
-
-
-def _build(
-    carrier: tuple[int, ...],
-    deps: tuple[Atom, ...],
-    fn: Callable[[tuple[int, ...]], object],
-) -> LiftedElem:
-    values = tuple(fn(t) for t in itertools.product(range(len(carrier)), repeat=len(deps)))
-    return _canonical(carrier, deps, values)
 
 
 def const_lift(carrier: Sequence[int], value) -> LiftedElem:
@@ -115,25 +120,10 @@ def eval_at(f: LiftedElem, v: Valuation) -> object:
 
 def perm_act_lift(p: Perm, f: LiftedElem) -> LiftedElem:
     """(p . f)(v) = f(p^-1 . v): rename the dependencies along p."""
-    if not f.deps:
-        return f
-    images = [p(a) for a in f.deps]
-    order = sorted(range(len(images)), key=lambda i: images[i].index)
-    new_deps = tuple(images[i] for i in order)
-    source_pos = [0] * len(order)
-    for new_position, i in enumerate(order):
-        source_pos[i] = new_position
-    k = len(f.carrier)
-
-    def fn(t: tuple[int, ...]):
-        idx = 0
-        for i in range(len(f.deps)):
-            idx = idx * k + t[source_pos[i]]
-        return f.values[idx]
-
+    images = tuple(p(a) for a in f.deps)
+    new_deps = tuple(sorted(images, key=lambda a: a.index))
     # A bijective renaming of coordinates cannot create spurious ones.
-    values = tuple(fn(t) for t in itertools.product(range(k), repeat=len(new_deps)))
-    return LiftedElem(f.carrier, new_deps, values)
+    return LiftedElem(f.carrier, new_deps, _spread(f, new_deps, src=images))
 
 
 def sub_lift(f: LiftedElem, a: Atom, g: LiftedElem) -> LiftedElem:
@@ -142,48 +132,34 @@ def sub_lift(f: LiftedElem, a: Atom, g: LiftedElem) -> LiftedElem:
         raise ValueError("substitution across different carriers")
     if a not in f.deps:
         return f
-    carrier = f.carrier
-    k = len(carrier)
+    k = len(f.carrier)
     deps = tuple((AtomSet(f.deps) - AtomSet.of(a)) | AtomSet(g.deps))
-    pos = {b.index: i for i, b in enumerate(deps)}
-    g_sources = [pos[b.index] for b in g.deps]
-    f_sources = [None if b == a else pos[b.index] for b in f.deps]
-    elem_pos = {x: i for i, x in enumerate(carrier)}
+    # f is read with a renamed to a fresh atom varying fastest, so each
+    # assignment to deps owns one block of k cells, one per value of a;
+    # renaming keeps a apart from g's own a when a is in g.deps.
+    z = fresh_atom((*deps, a))
+    f_rows = _spread(f, (*deps, z), src=tuple(z if b == a else b for b in f.deps))
+    elem_pos = {x: i for i, x in enumerate(f.carrier)}
+    values = tuple(f_rows[n * k + elem_pos[y]] for n, y in enumerate(_spread(g, deps)))
+    return _canonical(f.carrier, deps, values)
 
-    def fn(t: tuple[int, ...]):
-        g_idx = 0
-        for s in g_sources:
-            g_idx = g_idx * k + t[s]
-        g_pos = elem_pos[g.values[g_idx]]
-        idx = 0
-        for s in f_sources:
-            idx = idx * k + (g_pos if s is None else t[s])
-        return f.values[idx]
 
-    return _build(carrier, deps, fn)
+def first_gap(f: LiftedElem, g: LiftedElem) -> Valuation | None:
+    """The first valuation, in product order over the union of deps, where
+    boolean table f holds and g does not; None when f is below g."""
+    if f.carrier != g.carrier:
+        raise ValueError("comparison across different carriers")
+    deps = tuple(AtomSet(f.deps) | AtomSet(g.deps))
+    rows = itertools.product(f.carrier, repeat=len(deps))
+    for row, x, y in zip(rows, _spread(f, deps), _spread(g, deps)):
+        if x and not y:
+            return Valuation.of(zip(deps, row))
+    return None
 
 
 def le_lift(f: LiftedElem, g: LiftedElem) -> bool:
     """Pointwise implication of boolean tables, over the union of deps."""
-    if f.carrier != g.carrier:
-        raise ValueError("comparison across different carriers")
-    k = len(f.carrier)
-    deps = tuple(AtomSet(f.deps) | AtomSet(g.deps))
-    pos = {b.index: i for i, b in enumerate(deps)}
-    f_sources = [pos[b.index] for b in f.deps]
-    g_sources = [pos[b.index] for b in g.deps]
-    for t in itertools.product(range(k), repeat=len(deps)):
-        f_idx = 0
-        for s in f_sources:
-            f_idx = f_idx * k + t[s]
-        if not f.values[f_idx]:
-            continue
-        g_idx = 0
-        for s in g_sources:
-            g_idx = g_idx * k + t[s]
-        if not g.values[g_idx]:
-            return False
-    return True
+    return first_gap(f, g) is None
 
 
 def neg_lift(f: LiftedElem) -> LiftedElem:
@@ -197,40 +173,21 @@ def fresh_glb_lift(
     """Greatest lower bound of xs among elements not depending on `fresh`:
     meet over all values the fresh atoms could take."""
     carrier = tuple(carrier)
-    k = len(carrier)
+    if any(x.carrier != carrier for x in xs):
+        raise ValueError("meet across different carriers")
     fresh = AtomSet(fresh)
-    fresh_list = tuple(fresh)
-    fresh_pos = {a.index: i for i, a in enumerate(fresh_list)}
-    deps = tuple(AtomSet(a for x in xs for a in x.deps) - fresh)
-    pos = {b.index: i for i, b in enumerate(deps)}
-
-    plans = []
-    for x in xs:
-        if x.carrier != carrier:
-            raise ValueError("meet across different carriers")
-        bound_positions = [b.index in fresh_pos for b in x.deps]
-        sources = [
-            fresh_pos[b.index] if b.index in fresh_pos else pos[b.index] for b in x.deps
-        ]
-        arity = sum(bound_positions)
-        plans.append((x, bound_positions, sources, arity))
-
-    def fn(t: tuple[int, ...]):
-        for x, bound_positions, sources, arity in plans:
-            for assign in itertools.product(range(k), repeat=arity):
-                idx = 0
-                bound_i = 0
-                for is_bound, s in zip(bound_positions, sources):
-                    if is_bound:
-                        idx = idx * k + assign[bound_i]
-                        bound_i += 1
-                    else:
-                        idx = idx * k + t[s]
-                if not x.values[idx]:
-                    return False
-        return True
-
-    return _build(carrier, deps, fn)
+    used = AtomSet(a for x in xs for a in x.deps)
+    deps = tuple(used - fresh)
+    bound = tuple(a for a in used if a in fresh)
+    # With the bound atoms varying fastest, each cell over deps is the meet
+    # of one contiguous block of every spread.
+    block = len(carrier) ** len(bound)
+    spreads = [_spread(x, (*deps, *bound)) for x in xs]
+    values = tuple(
+        all(all(s[i : i + block]) for s in spreads)
+        for i in range(0, len(carrier) ** (len(deps) + len(bound)), block)
+    )
+    return _canonical(carrier, deps, values)
 
 
 def lift_fn(model: OrdinaryModel, name: str, args: Sequence[LiftedElem]) -> LiftedElem:
@@ -256,24 +213,11 @@ def lift_pred(model: OrdinaryModel, name: str, args: Sequence[LiftedElem]) -> Li
 
 
 def _apply_table(carrier: tuple[int, ...], table, args: Sequence[LiftedElem]) -> LiftedElem:
-    k = len(carrier)
-    for x in args:
-        if x.carrier != carrier:
-            raise ValueError("application across different carriers")
+    if any(x.carrier != carrier for x in args):
+        raise ValueError("application across different carriers")
     deps = tuple(AtomSet(a for x in args for a in x.deps))
-    pos = {b.index: i for i, b in enumerate(deps)}
-    sources = [[pos[b.index] for b in x.deps] for x in args]
-
-    def fn(t: tuple[int, ...]):
-        key = []
-        for x, srcs in zip(args, sources):
-            idx = 0
-            for s in srcs:
-                idx = idx * k + t[s]
-            key.append(x.values[idx])
-        return table[tuple(key)]
-
-    return _build(carrier, deps, fn)
+    keys = zip(*(_spread(x, deps) for x in args)) if args else [()]
+    return _canonical(carrier, deps, tuple(table[key] for key in keys))
 
 
 def dump_lifted(f: LiftedElem) -> str:

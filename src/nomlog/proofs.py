@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import DerivationError, ParseError
+from .errors import ParseError, ProofFormatError
 from .parsing import MAX_NESTING, AtomContext, parse_formula, parse_sequent, parse_term
 from .sequents import RULES, Derivation, arity_violation, infer_conclusion
 from .syntax import Signature
@@ -100,24 +100,24 @@ def load_proof(
 
     def build(node, path: str) -> Derivation:
         if not isinstance(node, list) or not node or not isinstance(node[0], _STok):
-            raise DerivationError("malformed proof node", path)
+            raise ProofFormatError("malformed proof node", path)
         rule = node[0].text
         if rule not in RULES:
-            raise DerivationError(f"unknown rule {rule!r}", path)
+            raise ProofFormatError(f"unknown rule {rule!r}", path)
         concl = principal = witness = eigen = None
         premises: list[Derivation] = []
         for item in node[1:]:
             if not isinstance(item, list) or not item or not isinstance(item[0], _STok):
-                raise DerivationError(f"malformed item under {rule}", path)
+                raise ProofFormatError(f"malformed item under {rule}", path)
             head = item[0].text
             if head == "premise":
                 if len(item) != 2:
-                    raise DerivationError("(premise ...) takes one node", path)
+                    raise ProofFormatError("(premise ...) takes one node", path)
                 premises.append(build(item[1], f"{path}.premises[{len(premises)}]"
                                        if path else f"premises[{len(premises)}]"))
                 continue
             if len(item) != 2 or not isinstance(item[1], _STok):
-                raise DerivationError(f"({head} ...) takes one argument", path)
+                raise ProofFormatError(f"({head} ...) takes one argument", path)
             arg = item[1].text
             try:
                 if head == "concl":
@@ -129,12 +129,12 @@ def load_proof(
                 elif head == "eigen":
                     eigen = ctx.atom(arg)
                 else:
-                    raise DerivationError(f"unknown item {head!r} under {rule}", path)
+                    raise ProofFormatError(f"unknown item {head!r} under {rule}", path)
             except ParseError as exc:
-                raise DerivationError(f"in ({head} ...): {exc}", path) from exc
+                raise ProofFormatError(f"in ({head} ...): {exc}", path) from exc
         message = arity_violation(rule, len(premises))
         if message is not None:
-            raise DerivationError(message, path)
+            raise ProofFormatError(message, path)
         d = Derivation(rule, concl, tuple(premises), principal, witness, eigen)
         if concl is None:
             d = replace(d, conclusion=infer_conclusion(d, path))

@@ -71,6 +71,30 @@ def test_check_proof_invalid(capsys, tmp_path):
     assert out.startswith("invalid: root: Ax principal")
 
 
+@pytest.mark.parametrize("text, message", [
+    ('(Foo (concl "bot |-"))', "root: unknown rule 'Foo'"),
+    ('(Ax (concl "P(a |- P(a)"))',
+     "root: in (concl ...): expected ')', found '|-' (at byte 4)"),
+    ('(AndR (principal "P(a) & P(a)") (concl "P(a) |- P(a) & P(a)"))',
+     "root: AndR takes 2 premises, got 0"),
+])
+def test_malformed_proof_exits_2(capsys, tmp_path, text, message):
+    path = tmp_path / "malformed.prf"
+    path.write_text(text)
+    code, out, err = run(capsys, "check-proof", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_uninferable_conclusion_exits_1(capsys, tmp_path):
+    path = tmp_path / "uninferable.prf"
+    path.write_text('(NegR (principal "~P(a)") (premise (Ax (concl "|- P(a)"))))')
+    code, out, _ = run(capsys, "check-proof", str(path))
+    assert code == 1
+    assert out == "invalid: root: cannot infer conclusion: premise left lacks the negated body\n"
+
+
 def test_check_proof_missing_file(capsys):
     code, _, err = run(capsys, "check-proof", "no-such-file.prf")
     assert code == 2

@@ -1,0 +1,20 @@
+"""Every demo script runs to completion against the source tree."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parent.parent
+
+
+@pytest.mark.parametrize("script", sorted(ROOT.glob("demos/*.py")), ids=lambda p: p.name)
+def test_demo_runs(script):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

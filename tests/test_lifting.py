@@ -10,6 +10,7 @@ from nomlog import (
     ArityError,
     Atom,
     LiftedElem,
+    OrdinaryModel,
     UnboundAtomError,
     UnknownSymbolError,
     Valuation,
@@ -28,6 +29,7 @@ from nomlog.lifting import (
     canonicalize,
     const_lift,
     enumerate_lifted,
+    first_gap,
     lift_fn,
     lift_pred,
     lifted_carrier,
@@ -129,6 +131,15 @@ def test_le_is_pointwise_implication(f, g):
     assert le_lift(f, g) == expected
 
 
+@given(lifted(), lifted())
+def test_first_gap_is_the_first_pointwise_counterexample(f, g):
+    expected = next(
+        (v for v in valuations(f, extra=g.deps) if eval_at(f, v) and not eval_at(g, v)), None
+    )
+    assert first_gap(f, g) == expected
+    assert (expected is None) == le_lift(f, g)
+
+
 @given(lifted())
 def test_neg_is_a_pointwise_complement(f):
     g = neg_lift(f)
@@ -208,6 +219,29 @@ def test_lift_fn_and_pred():
         lift_fn(m, "g", [fa])
     with pytest.raises(ArityError):
         lift_pred(m, "P", [fa, fa])
+
+
+@given(st.sampled_from([TWO, (0, 1, 2)]), st.data())
+def test_two_argument_application_is_pointwise(carrier, data):
+    # Deps come from four atoms, so those of x and y mostly interleave,
+    # as in Q(a, f(b)) against Q(b, a).
+    keys = list(itertools.product(carrier, repeat=2))
+
+    def cells(values):
+        return data.draw(st.lists(st.sampled_from(values), min_size=len(keys), max_size=len(keys)))
+
+    m = OrdinaryModel(
+        carrier,
+        funs={"g": dict(zip(keys, cells(carrier)))},
+        preds={"Q": dict(zip(keys, cells((False, True))))},
+    )
+    x = data.draw(lifted(carrier, values=carrier))
+    y = data.draw(lifted(carrier, values=carrier))
+    gxy, qxy = lift_fn(m, "g", [x, y]), lift_pred(m, "Q", [x, y])
+    for v in valuations(x, extra=y.deps):
+        key = (eval_at(x, v), eval_at(y, v))
+        assert eval_at(gxy, v) == m.funs["g"][key]
+        assert eval_at(qxy, v) == m.preds["Q"][key]
 
 
 def test_dump_lifted_golden():
