@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .atoms import Atom, AtomSet, Carrier, Perm, fresh_atom
+from .atoms import Atom, AtomSet, Carrier, Perm
 from .errors import ArityError, UnknownSymbolError
 from .models import OrdinaryModel, Valuation
 
@@ -42,6 +42,9 @@ class LiftedElem:
             raise ValueError("table size does not match carrier^deps")
         if any(a.index >= b.index for a, b in zip(self.deps, self.deps[1:])):
             raise ValueError("deps must be strictly ascending")
+
+
+_NO_ATOM = -1  # an index no atom has
 
 
 @functools.lru_cache(maxsize=1024)
@@ -75,8 +78,10 @@ def _canonical(carrier: tuple[int, ...], deps: tuple[Atom, ...], values: tuple) 
     def read(dst: tuple[int, ...]) -> tuple:
         return tuple(map(values.__getitem__, _gather(k, src, dst)))
 
-    # -1 is no atom's index, so reading through it pins coordinate n.
-    kept = tuple(a for n, a in enumerate(deps) if read((*src[:n], -1, *src[n + 1 :])) != values)
+    # Reading coordinate n through _NO_ATOM pins it at its first value.
+    kept = tuple(
+        a for n, a in enumerate(deps) if read((*src[:n], _NO_ATOM, *src[n + 1 :])) != values
+    )
     if kept == deps:
         return LiftedElem(carrier, deps, values)
     return LiftedElem(carrier, kept, read(tuple(a.index for a in kept)))
@@ -120,6 +125,8 @@ def eval_at(f: LiftedElem, v: Valuation) -> object:
 
 def perm_act_lift(p: Perm, f: LiftedElem) -> LiftedElem:
     """(p . f)(v) = f(p^-1 . v): rename the dependencies along p."""
+    if not f.deps:
+        return f
     images = tuple(p(a) for a in f.deps)
     new_deps = tuple(sorted(images, key=lambda a: a.index))
     # A bijective renaming of coordinates cannot create spurious ones.
@@ -134,13 +141,13 @@ def sub_lift(f: LiftedElem, a: Atom, g: LiftedElem) -> LiftedElem:
         return f
     k = len(f.carrier)
     deps = tuple((AtomSet(f.deps) - AtomSet.of(a)) | AtomSet(g.deps))
-    # f is read with a renamed to a fresh atom varying fastest, so each
-    # assignment to deps owns one block of k cells, one per value of a;
-    # renaming keeps a apart from g's own a when a is in g.deps.
-    z = fresh_atom((*deps, a))
-    f_rows = _spread(f, (*deps, z), src=tuple(z if b == a else b for b in f.deps))
+    # f is read with a renamed to _NO_ATOM varying fastest, so each cell over
+    # deps owns k positions, one per value of a; the rename keeps a apart
+    # from g's own a when a is in g.deps.
+    src = tuple(_NO_ATOM if b == a else b.index for b in f.deps)
+    where = _gather(k, src, (*(b.index for b in deps), _NO_ATOM))
     elem_pos = {x: i for i, x in enumerate(f.carrier)}
-    values = tuple(f_rows[n * k + elem_pos[y]] for n, y in enumerate(_spread(g, deps)))
+    values = tuple(f.values[where[n * k + elem_pos[y]]] for n, y in enumerate(_spread(g, deps)))
     return _canonical(f.carrier, deps, values)
 
 
@@ -149,7 +156,7 @@ def first_gap(f: LiftedElem, g: LiftedElem) -> Valuation | None:
     boolean table f holds and g does not; None when f is below g."""
     if f.carrier != g.carrier:
         raise ValueError("comparison across different carriers")
-    deps = tuple(AtomSet(f.deps) | AtomSet(g.deps))
+    deps = tuple(AtomSet((*f.deps, *g.deps)))
     rows = itertools.product(f.carrier, repeat=len(deps))
     for row, x, y in zip(rows, _spread(f, deps), _spread(g, deps)):
         if x and not y:
