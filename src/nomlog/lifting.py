@@ -69,26 +69,20 @@ def _spread(x: LiftedElem, dst: Sequence[Atom], src: Sequence[Atom] | None = Non
     return tuple(map(x.values.__getitem__, where))
 
 
-def _canonical(carrier: tuple[int, ...], deps: tuple[Atom, ...], values: tuple) -> LiftedElem:
-    """Drop every coordinate the table does not genuinely depend on: those
-    where reading the coordinate at its first value changes nothing."""
-    k = len(carrier)
-    src = tuple(a.index for a in deps)
+def canonicalize(f: LiftedElem) -> LiftedElem:
+    """f without the coordinates it does not genuinely depend on: those where
+    reading the coordinate at its first value changes nothing."""
+    k = len(f.carrier)
+    src = tuple(a.index for a in f.deps)
 
     def read(dst: tuple[int, ...]) -> tuple:
-        return tuple(map(values.__getitem__, _gather(k, src, dst)))
+        return tuple(map(f.values.__getitem__, _gather(k, src, dst)))
 
     # Reading coordinate n through _NO_ATOM pins it at its first value.
     kept = tuple(
-        a for n, a in enumerate(deps) if read((*src[:n], _NO_ATOM, *src[n + 1 :])) != values
+        a for n, a in enumerate(f.deps) if read((*src[:n], _NO_ATOM, *src[n + 1 :])) != f.values
     )
-    if kept == deps:
-        return LiftedElem(carrier, deps, values)
-    return LiftedElem(carrier, kept, read(tuple(a.index for a in kept)))
-
-
-def canonicalize(f: LiftedElem) -> LiftedElem:
-    return _canonical(f.carrier, f.deps, f.values)
+    return f if kept == f.deps else LiftedElem(f.carrier, kept, read(tuple(a.index for a in kept)))
 
 
 def const_lift(carrier: Sequence[int], value) -> LiftedElem:
@@ -106,7 +100,7 @@ def bot_lift(carrier: Sequence[int]) -> LiftedElem:
 def atm_lift(carrier: Sequence[int], a: Atom) -> LiftedElem:
     """The projection reading off the valuation at a."""
     carrier = tuple(carrier)
-    return _canonical(carrier, (a,), carrier)
+    return canonicalize(LiftedElem(carrier, (a,), carrier))
 
 
 def eval_at(f: LiftedElem, v: Valuation) -> object:
@@ -148,7 +142,7 @@ def sub_lift(f: LiftedElem, a: Atom, g: LiftedElem) -> LiftedElem:
     where = _gather(k, src, (*(b.index for b in deps), _NO_ATOM))
     elem_pos = {x: i for i, x in enumerate(f.carrier)}
     values = tuple(f.values[where[n * k + elem_pos[y]]] for n, y in enumerate(_spread(g, deps)))
-    return _canonical(f.carrier, deps, values)
+    return canonicalize(LiftedElem(f.carrier, deps, values))
 
 
 def first_gap(f: LiftedElem, g: LiftedElem) -> Valuation | None:
@@ -194,7 +188,7 @@ def fresh_glb_lift(
         all(all(s[i : i + block]) for s in spreads)
         for i in range(0, len(carrier) ** (len(deps) + len(bound)), block)
     )
-    return _canonical(carrier, deps, values)
+    return canonicalize(LiftedElem(carrier, deps, values))
 
 
 def lift_fn(model: OrdinaryModel, name: str, args: Sequence[LiftedElem]) -> LiftedElem:
@@ -224,7 +218,7 @@ def _apply_table(carrier: tuple[int, ...], table, args: Sequence[LiftedElem]) ->
         raise ValueError("application across different carriers")
     deps = tuple(AtomSet(a for x in args for a in x.deps))
     keys = zip(*(_spread(x, deps) for x in args)) if args else [()]
-    return _canonical(carrier, deps, tuple(table[key] for key in keys))
+    return canonicalize(LiftedElem(carrier, deps, tuple(table[key] for key in keys)))
 
 
 def dump_lifted(f: LiftedElem) -> str:
@@ -253,7 +247,7 @@ def enumerate_lifted(
             f"{len(tuple(values))}**{size} candidate tables is too many to enumerate"
         )
     for table in itertools.product(tuple(values), repeat=size):
-        elem = _canonical(carrier, pool, table)
+        elem = canonicalize(LiftedElem(carrier, pool, table))
         if elem not in seen:
             seen.add(elem)
             out.append(elem)
