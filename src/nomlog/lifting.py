@@ -72,6 +72,8 @@ def _spread(x: LiftedElem, dst: Sequence[Atom], src: Sequence[Atom] | None = Non
 def canonicalize(f: LiftedElem) -> LiftedElem:
     """f without the coordinates it does not genuinely depend on: those where
     reading the coordinate at its first value changes nothing."""
+    if len(f.values) == 1:  # one cell, so no coordinate matters
+        return LiftedElem(f.carrier, (), f.values) if f.deps else f
     k = len(f.carrier)
     src = tuple(a.index for a in f.deps)
 
