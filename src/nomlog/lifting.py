@@ -10,10 +10,11 @@ Over a one-element carrier every element canonicalizes to a constant; that
 degenerate case is deliberately supported.
 
 Every operation first realigns its inputs to one common list of coordinates
-and then combines them cell by cell.  The realignment is the only place that
-turns an assignment into a table position: `_gather` computes that index map
-from the carrier size and the two atom lists alone, so it is cached, and the
-same few shapes recur for every model a search visits.
+and then combines them cell by cell.  `_gather` computes each realignment,
+the table position of every assignment to the common coordinates, from the
+carrier size and the two atom lists alone.  It is cached because the same
+few shapes recur for every model a search visits.  Only `eval_at`, which
+reads a single cell, computes a position itself.
 """
 
 from __future__ import annotations
