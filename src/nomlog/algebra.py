@@ -26,12 +26,11 @@ from .atoms import Atom, AtomSet, Carrier, fresh_atom, swap
 from .gen import rand_formula, rand_lifted_bool, rand_lifted_elem, rand_term
 from .lifting import atm_lift, lifted_carrier, sub_lift
 from .syntax import (
-    ALPHA_CARRIER,
     Signature,
     TERM_CARRIER,
     Var,
-    alpha_eq,
     act_formula,
+    alpha_key,
     fa_formula,
     subst_formula,
     subst_term,
@@ -267,7 +266,7 @@ def formula_algebra(
     carrier = Carrier(
         name="formulas-alpha",
         act=act_formula,
-        eq=alpha_eq,
+        eq=lambda x, y: alpha_key(x) == alpha_key(y),
         support_bound=fa_formula,
     )
     return SubstAlgebra(

@@ -105,19 +105,12 @@ class Valuation:
         kept = tuple(item for item in self.assignments if item[0] != a)
         return Valuation.of((*kept, (a, x)))
 
-    def domain(self) -> AtomSet:
-        return AtomSet(a for a, _ in self.assignments)
-
     def act(self, p: Perm) -> "Valuation":
         """(p . v)(a) = v(p^-1(a)), i.e. rename the domain along p."""
         return Valuation.of(tuple((p(a), x) for a, x in self.assignments))
 
     def __str__(self) -> str:
         return ", ".join(f"{a}={x}" for a, x in self.assignments)
-
-
-def val_update(v: Valuation, a: Atom, x: int) -> Valuation:
-    return v.update(a, x)
 
 
 def eval_term(model: OrdinaryModel, v: Valuation, r: Term) -> int:

@@ -1,7 +1,9 @@
 """Sequents as alpha-sets of formulas, and the proof rules over them.
 
-A sequent stores each side deduplicated up to alpha-equivalence; membership,
-removal, and sequent equality are all alpha-aware.
+A sequent stores each side deduplicated up to alpha-equivalence, keeping the
+first of alpha-equal formulas in first-seen order.  Membership, removal and
+sequent equality are set operations on `alpha_key`, which agrees with the
+swap-defined `alpha_eq`.
 
 `RULES` is the one table of rules.  A connective rule is fixed by its arity,
 the side and connective of its principal formula, and the parts each premise
@@ -30,31 +32,26 @@ from .syntax import (
     Neg,
     Term,
     act_formula,
-    alpha_eq,
+    alpha_key,
     fa_formula,
     subst_formula,
 )
 
 
-def formula_in(f: Formula, fs: Iterable[Formula]) -> bool:
-    return any(alpha_eq(f, g) for g in fs)
+def keys(fs: Iterable[Formula]) -> frozenset[tuple]:
+    return frozenset(map(alpha_key, fs))
 
 
 def dedupe(fs: Iterable[Formula]) -> tuple[Formula, ...]:
-    out: list[Formula] = []
+    first: dict[tuple, Formula] = {}
     for f in fs:
-        if not formula_in(f, out):
-            out.append(f)
-    return tuple(out)
+        first.setdefault(alpha_key(f), f)
+    return tuple(first.values())
 
 
 def without(fs: Iterable[Formula], *drop: Formula) -> tuple[Formula, ...]:
-    return tuple(g for g in fs if not any(alpha_eq(g, f) for f in drop))
-
-
-def same_formula_set(xs: Iterable[Formula], ys: Iterable[Formula]) -> bool:
-    xs, ys = tuple(xs), tuple(ys)
-    return all(formula_in(x, ys) for x in xs) and all(formula_in(y, xs) for y in ys)
+    gone = keys(drop)
+    return tuple(g for g in fs if alpha_key(g) not in gone)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,17 +63,16 @@ class Sequent:
     def of(cls, left: Iterable[Formula], right: Iterable[Formula]) -> "Sequent":
         return cls(dedupe(left), dedupe(right))
 
+    def key(self) -> tuple[frozenset[tuple], frozenset[tuple]]:
+        return keys(self.left), keys(self.right)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequent):
             return NotImplemented
-        return same_formula_set(self.left, other.left) and same_formula_set(
-            self.right, other.right
-        )
+        return self.key() == other.key()
 
-    # Alpha-set equality admits no finer structural hash than the side sizes,
-    # which are alpha-invariant after deduplication.
     def __hash__(self) -> int:
-        return hash((len(self.left), len(self.right)))
+        return hash(self.key())
 
     def __str__(self) -> str:
         left = ", ".join(str(f) for f in self.left)
@@ -111,7 +107,7 @@ def _orient(pair: tuple, side: str) -> tuple:
 
 
 def _botl(d: Derivation) -> str | None:
-    if not formula_in(Bot(), d.conclusion.left):
+    if alpha_key(Bot()) not in keys(d.conclusion.left):
         return "BotL needs bot on the left"
     return None
 
@@ -119,11 +115,11 @@ def _botl(d: Derivation) -> str | None:
 def _ax(d: Derivation) -> str | None:
     c, p = d.conclusion, d.principal
     if p is None:
-        if not any(formula_in(f, c.right) for f in c.left):
+        if keys(c.left).isdisjoint(keys(c.right)):
             return "Ax needs a formula shared by both sides"
         return None
     for side in ("left", "right"):
-        if not formula_in(p, getattr(c, side)):
+        if alpha_key(p) not in keys(getattr(c, side)):
             return f"Ax principal {p} is not on the {side}"
     return None
 
@@ -141,7 +137,7 @@ def _fresh_eigen(d: Derivation, context) -> str | None:
 
 
 def _eigen_body(p: All, witness, eigen: Atom, premises) -> tuple | str:
-    body = next((g for g in premises[0].right if alpha_eq(All(eigen, g), p)), None)
+    body = next((g for g in premises[0].right if alpha_key(All(eigen, g)) == alpha_key(p)), None)
     if body is None:
         return f"premise right lacks the body of {p} at eigen atom {eigen}"
     return (((body,), ()),)
@@ -237,7 +233,7 @@ def node_violation(d: Derivation) -> str | None:
         return f"{d.rule} principal {p} is not a {r.noun}"
     side, other = _orient(("left", "right"), r.side)
     c_side, c_other = _orient((d.conclusion.left, d.conclusion.right), side)
-    if not formula_in(p, c_side):
+    if alpha_key(p) not in keys(c_side):
         return f"{d.rule} principal {p} is not on the {side}"
     rest = without(c_side, p)
     premises = tuple(prem.conclusion for prem in d.premises)
@@ -249,13 +245,13 @@ def node_violation(d: Derivation) -> str | None:
         return f"{d.rule} {parts}"
     for prem, (same, moved) in zip(premises, parts):
         prem_side, prem_other = _orient((prem.left, prem.right), side)
-        if not same_formula_set(prem_other, (*c_other, *moved)):
+        if keys(prem_other) != keys((*c_other, *moved)):
             if moved:
                 return f"{d.rule} premise {other} must add {moved[0]}"
             return f"{d.rule} premise changed the {other} side"
         # The premise may keep the principal or drop it, as contexts are sets;
         # no part is alpha-equal to its principal, which is strictly larger.
-        if not same_formula_set(without(prem_side, p), (*rest, *same)):
+        if keys(without(prem_side, p)) != keys((*rest, *same)):
             return f"{d.rule} premise {side} " + r.wrong.format(*same, p=p)
     return None
 
@@ -283,8 +279,7 @@ def infer_conclusion(d: Derivation, path: str = "") -> Sequent:
     for i, prem in enumerate(premises):
         prem_side, prem_other = _orient((prem.left, prem.right), r.side)
         if isinstance(parts, str) or not (
-            all(formula_in(f, prem_side) for f in parts[i][0])
-            and all(formula_in(f, prem_other) for f in parts[i][1])
+            keys(parts[i][0]) <= keys(prem_side) and keys(parts[i][1]) <= keys(prem_other)
         ):
             raise fail(r.lacks[i])
     (same, moved), prem = parts[0], premises[0]

@@ -3,6 +3,8 @@
 Binding is by plain atoms: alpha-equivalence is a derived relation decided
 with swaps, not a quotient representation, and substitution is
 capture-avoiding with a deterministic least-index choice of renamed binder.
+`alpha_key` is an index for sets of formulas that agrees with the
+swap-defined `alpha_eq`; formulas themselves keep their atoms.
 """
 
 from __future__ import annotations
@@ -149,10 +151,9 @@ def fa_term(r: Term) -> AtomSet:
         case Var(a):
             return AtomSet.of(a)
         case App(_, args):
-            out: Iterable[Atom] = []
-            for s in args:
-                out = (*out, *fa_term(s))
-            return AtomSet(out)
+            # A list, not a generator that AtomSet consumes one frame deeper:
+            # terms nest up to the parser's limit.
+            return AtomSet([a for s in args for a in fa_term(s)])
     raise TypeError(f"not a term: {r!r}")
 
 
@@ -206,22 +207,6 @@ def used_signature(formulas: Iterable[Formula]) -> Signature:
     return Signature(funs=funs, preds=preds)
 
 
-def atoms_of_formula(f: Formula) -> AtomSet:
-    """All atoms occurring in a formula, free or binding."""
-    match f:
-        case Bot():
-            return AtomSet()
-        case Pred(_, args):
-            return AtomSet(a for s in args for a in fa_term(s))
-        case And(l, r):
-            return atoms_of_formula(l) | atoms_of_formula(r)
-        case Neg(b):
-            return atoms_of_formula(b)
-        case All(a, b):
-            return atoms_of_formula(b) | AtomSet.of(a)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def act_term(p: Perm, r: Term) -> Term:
     match r:
         case Var(a):
@@ -266,6 +251,33 @@ def alpha_eq(f: Formula, g: Formula) -> bool:
             c = fresh_atom(fa_formula(fb) | fa_formula(gb) | AtomSet.of(a, b))
             return alpha_eq(act_formula(swap(c, a), fb), act_formula(swap(c, b), gb))
     return False
+
+
+def alpha_key(f: Formula) -> tuple:
+    """A hashable value two formulas share exactly when `alpha_eq` holds.
+
+    A free atom keeps its index; a bound atom becomes -1 minus the depth of
+    its binder, counted in binders rather than in distinct names so that a
+    shadowing binder gets a depth of its own.  Bound and free never collide.
+    """
+
+    def key(x: Term | Formula, bound: dict[int, int], depth: int) -> int | tuple:
+        match x:
+            case Var(a):
+                return bound.get(a.index, a.index)
+            case App(former, args) | Pred(former, args):
+                return (type(x), former, *(key(s, bound, depth) for s in args))
+            case Bot():
+                return (Bot,)
+            case And(l, r):
+                return (And, key(l, bound, depth), key(r, bound, depth))
+            case Neg(b):
+                return (Neg, key(b, bound, depth))
+            case All(a, b):
+                return (All, key(b, {**bound, a.index: -1 - depth}, depth + 1))
+        raise TypeError(f"not a term or formula: {x!r}")
+
+    return key(f, {}, 0)
 
 
 def subst_term(r: Term, a: Atom, s: Term) -> Term:
@@ -347,21 +359,4 @@ TERM_CARRIER: Carrier[Term] = Carrier(
     act=act_term,
     eq=lambda x, y: x == y,
     support_bound=fa_term,
-)
-
-# Raw syntax: equality is structural, so even bound atoms are in the support.
-FORMULA_CARRIER: Carrier[Formula] = Carrier(
-    name="formulas-raw",
-    act=act_formula,
-    eq=lambda x, y: x == y,
-    support_bound=atoms_of_formula,
-)
-
-# Up to alpha, only the free atoms matter; the bound is still the occurring
-# atoms so that the swap tests genuinely discover that.
-ALPHA_CARRIER: Carrier[Formula] = Carrier(
-    name="formulas-alpha",
-    act=act_formula,
-    eq=alpha_eq,
-    support_bound=atoms_of_formula,
 )

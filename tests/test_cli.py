@@ -234,12 +234,16 @@ AT_LIMIT = {
 
 
 @pytest.mark.parametrize("shape", AT_LIMIT)
-def test_nesting_at_the_limit_runs(capsys, shape):
+def test_nesting_at_the_limit_runs(capsys, tmp_path, shape):
     ok, too_deep = AT_LIMIT[shape]
     code, _, _ = run(capsys, "parse", ok)
     assert code == 0
     code, out, _ = run(capsys, "countermodel", "--sequent", f"|- {ok}", "--max-size", "1")
     assert code in (0, 1) and out.startswith("found=")
+    proof = tmp_path / "ax.prf"
+    proof.write_text(f'(Ax (concl "{ok} |- {ok}") (principal "{ok}"))')
+    code, out, _ = run(capsys, "check-proof", str(proof))
+    assert code == 0 and out.startswith("valid")
     code, _, err = run(capsys, "parse", too_deep)
     assert code == 2
     assert err.startswith(f"error: input nested deeper than {LIMIT} levels (at byte ")

@@ -8,6 +8,7 @@ from nomlog import (
     AtomSet,
     Derivation,
     DerivationError,
+    Sequent,
     check_derivation,
     fa_sequent,
     load_proof,
@@ -36,6 +37,16 @@ def test_sequent_alpha_set_equality():
     assert seq("forall a. P(a) |-") == seq("forall b. P(b) |-")
     assert seq("P(a) |- P(b)") != seq("P(b) |- P(a)")
     assert hash(seq("forall a. P(a) |-")) == hash(seq("forall b. P(b) |-"))
+
+
+def test_sequent_of_keeps_first_representative_in_order():
+    texts = ("P(a)", "forall a. Q(a, b)", "P(c)", "forall c. Q(c, b)")
+    s = Sequent.of([form(t) for t in texts], [])
+    assert s.left == (form("P(a)"), form("forall a. Q(a, b)"), form("P(c)"))
+    assert str(s) == "P(a), forall a. Q(a, b), P(c) |-"
+    reordered = seq("forall c. Q(c, b), P(c), P(a) |- forall b. P(b), bot")
+    variant = seq("P(a), forall a. Q(a, b), P(c) |- bot, forall a. P(a)")
+    assert len({reordered, variant}) == 1
 
 
 def test_fa_and_act():

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from nomlog import (
     All,
@@ -25,7 +26,9 @@ from nomlog import (
     used_signature,
 )
 
-from .strategies import atoms, formulas, perms, terms
+from nomlog.syntax import alpha_key
+
+from .strategies import ATOMS, atoms, formulas, perms, terms
 
 a, b, c, d = (Atom(i) for i in range(4))
 
@@ -72,6 +75,63 @@ def test_alpha_eq_under_renaming(f, p):
     assert alpha_eq(f, act_formula(p, f)) == (
         all(p(x) == x for x in fa_formula(f))
     )
+
+
+def rename_binder(f, n, fresh):
+    """f with its n-th binder in preorder, if any, renamed to `fresh` by swapping."""
+    left = [n]
+
+    def walk(g):
+        match g:
+            case And(l, r):
+                return And(walk(l), walk(r))
+            case Neg(body):
+                return Neg(walk(body))
+            case All(x, body):
+                left[0] -= 1
+                if left[0] == -1:
+                    return All(fresh, act_formula(swap(x, fresh), body))
+                return All(x, walk(body))
+        return g
+
+    return walk(f)
+
+
+def assert_key_agrees(f, g):
+    assert (alpha_key(f) == alpha_key(g)) == alpha_eq(f, g)
+
+
+@given(formulas(), formulas())
+def test_alpha_key_agrees_on_random_pairs(f, g):
+    assert_key_agrees(f, g)
+
+
+@given(formulas(), perms())
+def test_alpha_key_agrees_under_permutation(f, p):
+    assert_key_agrees(f, act_formula(p, f))
+
+
+@given(formulas(), st.integers(min_value=0, max_value=5))
+def test_alpha_key_agrees_after_renaming_a_binder(f, n):
+    g = rename_binder(f, n, Atom(len(ATOMS)))  # outside the strategies' pool
+    assert alpha_eq(f, g)
+    assert_key_agrees(f, g)
+
+
+def test_alpha_key_examples():
+    e = Atom(4)
+
+    def Q(x, y):
+        return Pred("Q", (Var(x), Var(y)))
+
+    # depth counts binders, not distinct bound names
+    shadowing = All(a, All(a, All(b, Q(a, b))))
+    spread = All(c, All(d, All(e, Q(d, e))))
+    assert alpha_eq(shadowing, spread)
+    assert alpha_key(shadowing) == alpha_key(spread)
+    # a bound atom never reads as a free one, even the free atom of index 0
+    assert not alpha_eq(All(b, P(Var(b))), All(b, P(Var(a))))
+    assert alpha_key(All(b, P(Var(b)))) != alpha_key(All(b, P(Var(a))))
 
 
 def test_subst_term_golden():
