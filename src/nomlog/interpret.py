@@ -8,34 +8,30 @@ evaluation of the tables agrees with the usual valuation semantics
 (`check_term_bridge` / `check_formula_bridge`), and substitution commutes
 with denotation (`check_term_subst` / `check_formula_subst`).
 
+Which atoms each subterm's table ranges over is fixed by the syntax, so
+`TablePlan(x, size)` compiles a term, formula or sequent, for carriers of one
+size, into a straight-line list of steps over registers: each register a
+table over its subterm's free atoms, not canonicalized, and every
+realignment a `lifting._gather` index tuple taken at compile time.
+`run_plan` executes the steps on one model in a loop; only the tables a
+caller gets back are canonicalized.
+
 `countermodel_search` enumerates every model up to a carrier size in a fixed
 deterministic order and returns the first one where the glb of the left side
-is not below the lub of the right side.
+is not below the lub of the right side.  The sequent is compiled once per
+carrier size: `refute` keeps the plan of the last sequent object it saw.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import gt, not_
 from typing import Iterator
 
-from .atoms import AtomSet
-from .errors import SearchBudgetError
-from .lifting import (
-    LiftedElem,
-    atm_lift,
-    bot_lift,
-    dump_lifted,
-    eval_at,
-    first_gap,
-    fresh_glb_lift,
-    le_lift,
-    lift_fn,
-    lift_pred,
-    neg_lift,
-    sub_lift,
-    top_lift,
-)
+from .atoms import Atom
+from .errors import ArityError, SearchBudgetError, UnknownSymbolError
+from .lifting import LiftedElem, _gather, canonicalize, dump_lifted, eval_at, first_gap, sub_lift
 from .models import OrdinaryModel, Valuation, dump_model, eval_formula, eval_term
 from .sequents import Sequent, fa_sequent
 from .syntax import (
@@ -54,60 +50,236 @@ from .syntax import (
     used_signature,
 )
 
+_APPLY, _ALL, _ANY, _NEG, _BLOCK = range(5)  # step opcodes
+
+
+class TablePlan:
+    """A term, formula or sequent compiled for carriers of one size.
+
+    Register r holds a table over the atom indices `deps[r]`, ascending, in
+    product order and not canonicalized.  Each distinct subterm, keyed by its
+    operator and the registers of its parts, gets one register; an atom's
+    holds the carrier, `bot`'s is constant, a quantifier whose body does not
+    range over its atom shares the body's, and every other is filled by one
+    step: (opcode, register, table slot, inputs), each input a (register,
+    gather) pair, where a gather of None reads the register as it is.  _ALL
+    and _ANY fold their inputs cell by cell; _BLOCK takes the `all` of each
+    run of `size` cells of its one input.  `outputs` are the registers of
+    the term or formula, or of a sequent's left glb and right lub; then
+    `compare` reads those two over the union of their deps.
+    """
+
+    def __init__(self, x: Term | Formula | Sequent, size: int) -> None:
+        self.size = size
+        self.deps: list[tuple[int, ...]] = []
+        self.constants: list = []  # the table of a constant register, else None
+        self.variables: list[tuple[int, Atom]] = []  # registers holding the carrier
+        self.symbols: dict[tuple[str, str, int], int] = {}  # (kind, name, arity): slot
+        self.steps: list[tuple] = []
+        self._numbered: dict[tuple, int] = {}
+        if isinstance(x, Sequent):
+            left, right = self._side(_ALL, x.left), self._side(_ANY, x.right)
+            union = tuple(sorted({*self.deps[left], *self.deps[right]}))
+            self.outputs = (left, right)
+            self.compare = (self._read(left, union), self._read(right, union))
+        else:
+            self.outputs = (self._node(x),)
+
+    def _register(self, key: tuple | None, deps: tuple[int, ...], constant=None):
+        """The register numbered `key` (a fresh one for None), and whether
+        it is new."""
+        if key in self._numbered:
+            return self._numbered[key], False
+        reg = len(self.deps)
+        self.deps.append(deps)
+        self.constants.append(constant)
+        if key is not None:
+            self._numbered[key] = reg
+        return reg, True
+
+    def _read(self, reg: int, dst: tuple[int, ...]) -> tuple[int, tuple | None]:
+        src = self.deps[reg]
+        return reg, None if src == dst else _gather(self.size, src, dst)
+
+    def _emit(self, op: int, key: tuple | None, parts: list[int], slot=None) -> int:
+        deps = tuple(sorted({i for r in parts for i in self.deps[r]}))
+        reg, new = self._register(key, deps)
+        if new:
+            self.steps.append((op, reg, slot, tuple(self._read(r, deps) for r in parts)))
+        return reg
+
+    def _quantify(self, a: Atom, body: int) -> int:
+        src = self.deps[body]
+        if a.index not in src:  # the body's table does not range over a
+            return body
+        deps = tuple(i for i in src if i != a.index)
+        reg, new = self._register(("all", a.index, body), deps)
+        if new:  # read with a varying fastest, each output cell is one block
+            self.steps.append((_BLOCK, reg, None, (self._read(body, (*deps, a.index)),)))
+        return reg
+
+    def _node(self, x: Term | Formula) -> int:
+        """x's register.  The walk is post-order on an explicit stack, so
+        deep nesting costs no Python frames."""
+        done: list[int] = []
+        todo: list = [(x, None)]  # (node, how many parts it has once they are done)
+        while todo:
+            y, n = todo.pop()
+            if n is None:
+                kids = _parts(y)
+                todo += [(y, len(kids)), *((kid, None) for kid in reversed(kids))]
+                continue
+            parts = done[len(done) - n :]
+            del done[len(done) - n :]
+            match y:
+                case Var(a):
+                    reg, new = self._register(("var", a.index, a.display), (a.index,))
+                    if new:
+                        self.variables.append((reg, a))
+                case Bot():
+                    reg = self._register(("bot",), (), (False,))[0]
+                case App(name) | Pred(name):
+                    kind = "fun" if isinstance(y, App) else "pred"
+                    slot = self.symbols.setdefault((kind, name, n), len(self.symbols))
+                    reg = self._emit(_APPLY, (kind, name, *parts), parts, slot)
+                case And():
+                    reg = self._emit(_ALL, ("and", *parts), parts)
+                case Neg():
+                    reg = self._emit(_NEG, ("neg", *parts), parts)
+                case All(a):
+                    reg = self._quantify(a, *parts)
+                case _:
+                    raise TypeError(f"not a term or formula: {y!r}")
+            done.append(reg)
+        return done[0]
+
+    def _side(self, op: int, formulas: tuple[Formula, ...]) -> int:
+        parts = [self._node(f) for f in formulas]
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:  # the empty glb is true, the empty lub false
+            return self._register(None, (), (op == _ALL,))[0]
+        return self._emit(op, None, parts)
+
+
+def _parts(x: Term | Formula) -> tuple:
+    match x:
+        case App(_, args) | Pred(_, args):
+            return args
+        case And(left, right):
+            return (left, right)
+        case Neg(body) | All(_, body):
+            return (body,)
+    return ()
+
+
+def _table(model: OrdinaryModel, kind: str, name: str, arity: int) -> dict:
+    tables = model.funs if kind == "fun" else model.preds
+    if name not in tables:
+        what = "term former" if kind == "fun" else "predicate"
+        raise UnknownSymbolError(f"model interprets no {what} {name!r}")
+    expected = len(next(iter(tables[name])))
+    if expected != arity:
+        raise ArityError(f"{name} expects {expected} arguments, got {arity}")
+    return tables[name]
+
+
+def _column(regs: list[tuple], reg: int, where: tuple | None):
+    return regs[reg] if where is None else map(regs[reg].__getitem__, where)
+
+
+def run_plan(plan: TablePlan, model: OrdinaryModel) -> list[tuple]:
+    """Every register's table in this model."""
+    carrier, k = model.carrier, plan.size
+    if len(carrier) != k:
+        raise ValueError(f"plan for carriers of size {k}, model has {len(carrier)}")
+    tables = [_table(model, *symbol) for symbol in plan.symbols]
+    regs = list(plan.constants)
+    for reg, _ in plan.variables:
+        regs[reg] = carrier
+    for op, out, slot, ins in plan.steps:
+        cols = [_column(regs, *read) for read in ins]
+        if op == _APPLY:
+            table = tables[slot]
+            regs[out] = tuple(map(table.__getitem__, zip(*cols))) if cols else (table[()],)
+        elif op == _NEG:
+            regs[out] = tuple(map(not_, *cols))
+        elif op == _BLOCK:
+            regs[out] = tuple(map(all, zip(*[iter(cols[0])] * k)))
+        else:
+            regs[out] = tuple(map(all if op == _ALL else any, zip(*cols)))
+    return regs
+
+
+def _has_gap(plan: TablePlan, regs: list[tuple]) -> bool:
+    """Whether the left glb holds somewhere the right lub does not."""
+    return any(map(gt, *(_column(regs, *read) for read in plan.compare)))
+
+
+def _canonical_outputs(plan: TablePlan, regs: list[tuple], carrier: tuple) -> list[LiftedElem]:
+    """The output registers as canonical tables.  An index is named by the
+    atom object the lifting operations would keep: the first input's, in
+    order, whose canonical table depends on it (this matters only when one
+    index has two display names)."""
+    elems: dict[int, LiftedElem] = {}
+
+    def settle(reg: int, named: dict[int, Atom]) -> None:
+        deps = tuple(named.get(i) or Atom(i) for i in plan.deps[reg])
+        elems[reg] = canonicalize(LiftedElem(carrier, deps, regs[reg]))
+
+    for reg, a in plan.variables:
+        settle(reg, {a.index: a})
+    for reg, table in enumerate(plan.constants):
+        if table is not None:
+            settle(reg, {})
+    for _, out, _, ins in plan.steps:
+        named: dict[int, Atom] = {}
+        for reg, _ in ins:
+            for a in elems[reg].deps:
+                named.setdefault(a.index, a)
+        settle(out, named)
+    return [elems[reg] for reg in plan.outputs]
+
+
+def _denote(model: OrdinaryModel, x: Term | Formula) -> LiftedElem:
+    plan = TablePlan(x, len(model.carrier))
+    return _canonical_outputs(plan, run_plan(plan, model), model.carrier)[0]
+
 
 def denote_term(model: OrdinaryModel, t: Term) -> LiftedElem:
     """The carrier-valued table a term stands for in a model."""
-    match t:
-        case Var(a):
-            return atm_lift(model.carrier, a)
-        case App(name, args):
-            return lift_fn(model, name, [denote_term(model, s) for s in args])
-    raise TypeError(f"not a term: {t!r}")
+    return _denote(model, t)
 
 
 def denote_formula(model: OrdinaryModel, f: Formula) -> LiftedElem:
     """The boolean table a formula stands for in a model."""
-    carrier = model.carrier
-    match f:
-        case Bot():
-            return bot_lift(carrier)
-        case Pred(name, args):
-            return lift_pred(model, name, [denote_term(model, s) for s in args])
-        case And(l, r):
-            return fresh_glb_lift(
-                carrier, AtomSet(), (denote_formula(model, l), denote_formula(model, r))
-            )
-        case Neg(b):
-            return neg_lift(denote_formula(model, b))
-        case All(a, b):
-            return fresh_glb_lift(carrier, AtomSet.of(a), (denote_formula(model, b),))
-    raise TypeError(f"not a formula: {f!r}")
+    return _denote(model, f)
 
 
 def is_valid(model: OrdinaryModel, f: Formula) -> bool:
     """True when the formula denotes the constant-true table."""
-    return denote_formula(model, f) == top_lift(model.carrier)
+    plan = TablePlan(f, len(model.carrier))
+    return all(run_plan(plan, model)[plan.outputs[0]])
 
 
-def denote_glb(model: OrdinaryModel, formulas) -> LiftedElem:
-    return fresh_glb_lift(
-        model.carrier, AtomSet(), tuple(denote_formula(model, f) for f in formulas)
-    )
+_last_plan: tuple | None = None  # (sequent, size, plan) of the last sequent compiled
 
 
-def denote_lub(model: OrdinaryModel, formulas) -> LiftedElem:
-    return neg_lift(
-        fresh_glb_lift(
-            model.carrier,
-            AtomSet(),
-            tuple(neg_lift(denote_formula(model, f)) for f in formulas),
-        )
-    )
+def _sequent_plan(seq: Sequent, size: int) -> TablePlan:
+    """seq's plan, compiled again only when the sequent object or the size
+    differs from the last call's.  Identity, not equality: a `Sequent`'s hash
+    recomputes its alpha keys."""
+    global _last_plan
+    last = _last_plan
+    if last is None or last[0] is not seq or last[1] != size:
+        last = _last_plan = (seq, size, TablePlan(seq, size))
+    return last[2]
 
 
 def sequent_holds(model: OrdinaryModel, seq: Sequent) -> bool:
     """glb of the left side below lub of the right side, as tables."""
-    return le_lift(denote_glb(model, seq.left), denote_lub(model, seq.right))
+    plan = _sequent_plan(seq, len(model.carrier))
+    return not _has_gap(plan, run_plan(plan, model))
 
 
 # -- sanity bridges --------------------------------------------------------------
@@ -200,10 +372,12 @@ class Countermodel:
 
 def refute(model: OrdinaryModel, seq: Sequent) -> Countermodel | None:
     """The witnessing gap in this model, or None when the sequent holds."""
-    left = denote_glb(model, seq.left)
-    right = denote_lub(model, seq.right)
-    gap = first_gap(left, right)
-    return None if gap is None else Countermodel(model, gap, left, right)
+    plan = _sequent_plan(seq, len(model.carrier))
+    regs = run_plan(plan, model)
+    if not _has_gap(plan, regs):
+        return None
+    left, right = _canonical_outputs(plan, regs, model.carrier)
+    return Countermodel(model, first_gap(left, right), left, right)
 
 
 def countermodel_search(

@@ -12,6 +12,7 @@ Function tables must be total; predicate blocks list the true tuples.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -50,8 +51,7 @@ class OrdinaryModel:
         if not table:
             raise ModelFormatError(f"empty table for {name}")
         arity = len(next(iter(table)))
-        expected = set(itertools.product(self.carrier, repeat=arity))
-        if set(table) != expected:
+        if table.keys() != _argument_tuples(self.carrier, arity):
             raise ModelFormatError(f"table for {name} is not total over carrier^{arity}")
 
     def signature(self) -> Signature:
@@ -81,6 +81,11 @@ class OrdinaryModel:
 
     def __repr__(self) -> str:
         return f"OrdinaryModel(carrier={self.carrier!r}, funs={self.funs!r}, preds={self.preds!r})"
+
+
+@functools.lru_cache(maxsize=64)
+def _argument_tuples(carrier: tuple[int, ...], arity: int) -> frozenset[tuple[int, ...]]:
+    return frozenset(itertools.product(carrier, repeat=arity))
 
 
 @dataclass(frozen=True)

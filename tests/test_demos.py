@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script runs against the source tree and prints exactly the
+output recorded beside it in `demos/<name>.stdout`."""
 
 import os
 import subprocess
@@ -18,3 +19,4 @@ def test_demo_runs(script):
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+    assert result.stdout == script.with_suffix(".stdout").read_text()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nomlog import (
+    All,
     Countermodel,
     LiftedElem,
     SearchBudgetError,
@@ -34,11 +35,14 @@ from nomlog.interpret import (
     count_models,
     refute,
 )
+from nomlog import interpret
 from nomlog.lifting import bot_lift, perm_act_lift, top_lift
 from nomlog.models import all_valuations, eval_formula
-from nomlog.syntax import act_formula, fa_formula
+from nomlog.sequents import Sequent
+from nomlog.syntax import act_formula, fa_formula, used_signature
 
-from .strategies import ATOMS, formulas, perms, terms
+from . import oracle
+from .strategies import ATOMS, binder_formulas, formulas, models, perms, terms
 
 a, b = ATOMS[:2]
 TWO = (0, 1)
@@ -194,3 +198,86 @@ def test_random_valid_sequents_have_no_countermodel(seed):
             "forall a. P(a) |- forall b. P(b)")
     seq = parse_sequent(rng.choice(taut))
     assert countermodel_search(seq, 2) is None
+
+
+def same_table(x, y):
+    """Equal tables whose deps also print alike."""
+    return x == y and [a.name for a in x.deps] == [a.name for a in y.deps]
+
+
+@given(models(), terms(), st.one_of(formulas(), binder_formulas()))
+@settings(max_examples=200, deadline=None)
+def test_compiled_denotation_matches_the_oracle(model, t, f):
+    assert same_table(denote_term(model, t), oracle.denote_term(model, t))
+    want = oracle.denote_formula(model, f)
+    assert same_table(denote_formula(model, f), want)
+    assert is_valid(model, f) == (want == top_lift(model.carrier))
+
+
+def oracle_search(seq, max_size):
+    """The first countermodel by the recursive denotation, and how many
+    models were looked at to find it (or in all)."""
+    sig = used_signature((*seq.left, *seq.right))
+    visited = 0
+    for size in range(1, max_size + 1):
+        for model in enumerate_models(sig, size):
+            visited += 1
+            found = oracle.refute(model, seq)
+            if found is not None:
+                return found, visited
+    return None, visited
+
+
+small_formulas = st.one_of(formulas(max_leaves=3), binder_formulas(max_leaves=3))
+small_sides = st.lists(small_formulas, max_size=2)
+small_sequents = st.one_of(
+    st.builds(Sequent.of, small_sides, small_sides),
+    # these hold over one point, so a countermodel needs two or more
+    st.builds(lambda f, p: Sequent.of([f], [act_formula(p, f)]), small_formulas, perms()),
+    st.builds(lambda f, x: Sequent.of([f], [All(x, f)]), small_formulas, st.sampled_from(ATOMS)),
+)
+
+
+@given(small_sequents)
+@settings(max_examples=100, deadline=None)
+def test_search_matches_the_oracle_loop(seq):
+    sig = used_signature((*seq.left, *seq.right))
+    # the largest carrier, up to 3, whose search stays small
+    max_size = 3
+    while max_size > 1 and sum(count_models(sig, n) for n in range(1, max_size + 1)) > 600:
+        max_size -= 1
+    want, _ = oracle_search(seq, max_size)
+    got = countermodel_search(seq, max_size)
+    assert (got and got.report()) == (want and want.report())
+    if got is not None:
+        assert not sequent_holds(got.model, seq)
+
+
+def test_display_names_follow_the_lifting_operations():
+    # `a` and `a0` are one atom with two display names; the left glb takes
+    # its name from `P(a)`, the first part whose table depends on it.
+    seq = parse_sequent("~(P(a0) & ~P(a0)) & P(a) |- forall a. P(a)")
+    got = countermodel_search(seq, 2)
+    assert got.report() == oracle_search(seq, 2)[0].report()
+    assert [x.name for x in got.left.deps] == ["a"]
+
+
+def test_search_calls_refute_once_per_model_visited(monkeypatch):
+    real_refute = interpret.refute
+    visited = []
+
+    def counting_refute(model, seq):
+        visited.append(model)
+        return real_refute(model, seq)
+
+    monkeypatch.setattr(interpret, "refute", counting_refute)
+    valid = parse_sequent("forall a. P(a) & Q(a, f(a)) |- forall b. P(f(b))")
+    sig = used_signature((*valid.left, *valid.right))
+    assert countermodel_search(valid, 2) is None
+    assert len(visited) == sum(count_models(sig, n) for n in (1, 2))
+    visited.clear()
+    refutable = parse_sequent("P(a) |- forall a. P(a)")
+    found = countermodel_search(refutable, 2)
+    assert visited[-1] is found.model
+    # two one-point models, then P = {0, 1} and P = {0}
+    assert len(visited) == oracle_search(refutable, 2)[1] == 4

@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nomlog import (
@@ -28,7 +30,7 @@ from nomlog import (
 
 from nomlog.syntax import alpha_key
 
-from .strategies import ATOMS, atoms, formulas, perms, terms
+from .strategies import ATOMS, atoms, binder_formulas, formulas, perms, terms
 
 a, b, c, d = (Atom(i) for i in range(4))
 
@@ -101,19 +103,74 @@ def assert_key_agrees(f, g):
     assert (alpha_key(f) == alpha_key(g)) == alpha_eq(f, g)
 
 
-@given(formulas(), formulas())
+# Binder-heavy formulas make shadowing and bound-versus-free index clashes
+# common; the plain strategy rarely nests binders deeply enough for either.
+some_formulas = st.one_of(formulas(), binder_formulas())
+
+
+@given(some_formulas, some_formulas)
 def test_alpha_key_agrees_on_random_pairs(f, g):
     assert_key_agrees(f, g)
 
 
-@given(formulas(), perms())
+@given(some_formulas, perms())
 def test_alpha_key_agrees_under_permutation(f, p):
     assert_key_agrees(f, act_formula(p, f))
 
 
-@given(formulas(), st.integers(min_value=0, max_value=5))
+@given(some_formulas, st.integers(min_value=0, max_value=5))
 def test_alpha_key_agrees_after_renaming_a_binder(f, n):
     g = rename_binder(f, n, Atom(len(ATOMS)))  # outside the strategies' pool
+    assert alpha_eq(f, g)
+    assert_key_agrees(f, g)
+
+
+def refill(f, pick):
+    """f with every atom x, binder or occurrence, replaced by pick(x)."""
+    match f:
+        case Var(x):
+            return Var(pick(x))
+        case App(name, args) | Pred(name, args):
+            return type(f)(name, tuple(refill(s, pick) for s in args))
+        case And(l, r):
+            return And(refill(l, pick), refill(r, pick))
+        case Neg(body):
+            return Neg(refill(body, pick))
+        case All(x, body):
+            return All(pick(x), refill(body, pick))
+    return f
+
+
+@given(binder_formulas(), st.data())
+@settings(max_examples=300)
+def test_alpha_key_agrees_on_pairs_of_one_shape(f, data):
+    # Changing a few atoms of a formula binds some occurrences it left free
+    # and frees some it bound, so a bound atom often sits where the other
+    # formula has a free one.
+    g = refill(f, lambda x: data.draw(st.one_of(st.just(x), st.sampled_from(ATOMS[:3]))))
+    assert_key_agrees(f, g)
+
+
+def rename_binders_apart(f, fresh=None):
+    """f with every binder renamed, by swapping, to an atom of its own
+    outside the strategies' pool."""
+    fresh = fresh or itertools.count(len(ATOMS))
+    match f:
+        case And(l, r):
+            return And(rename_binders_apart(l, fresh), rename_binders_apart(r, fresh))
+        case Neg(body):
+            return Neg(rename_binders_apart(body, fresh))
+        case All(x, body):
+            new = Atom(next(fresh))
+            return All(new, rename_binders_apart(act_formula(swap(x, new), body), fresh))
+    return f
+
+
+@given(some_formulas)
+def test_alpha_key_agrees_after_renaming_binders_apart(f):
+    # Without shadowing, a binder's depth and its count of distinct bound
+    # names coincide; with it they do not.
+    g = rename_binders_apart(f)
     assert alpha_eq(f, g)
     assert_key_agrees(f, g)
 
