@@ -243,12 +243,12 @@ def atoms_algebra(pool: Sequence[Atom]) -> TermlikeAlgebra:
     )
 
 
-def term_algebra(sig: Signature, pool: Sequence[Atom], depth: int = 3) -> TermlikeAlgebra:
+def term_algebra(sig: Signature, pool: Sequence[Atom]) -> TermlikeAlgebra:
     return TermlikeAlgebra(
         "terms",
         carrier=TERM_CARRIER,
         sub=subst_term,
-        generate=lambda rng: rand_term(rng, sig, pool, depth),
+        generate=lambda rng: rand_term(rng, sig, pool),
         pool=tuple(pool),
         atm=Var,
     )
@@ -257,7 +257,6 @@ def term_algebra(sig: Signature, pool: Sequence[Atom], depth: int = 3) -> Termli
 def formula_algebra(
     sig: Signature,
     pool: Sequence[Atom],
-    depth: int = 3,
     subst: Callable = subst_formula,
 ) -> SubstAlgebra:
     """Formulas up to alpha over the term algebra.  Not term-like: there is
@@ -273,35 +272,31 @@ def formula_algebra(
         "formulas",
         carrier=carrier,
         sub=subst,
-        generate=lambda rng: rand_formula(rng, sig, pool, depth),
+        generate=lambda rng: rand_formula(rng, sig, pool),
         pool=tuple(pool),
-        term_algebra=term_algebra(sig, pool, depth),
+        term_algebra=term_algebra(sig, pool),
     )
 
 
-def lifted_term_algebra(
-    carrier: Sequence[int], pool: Sequence[Atom], max_deps: int = 2
-) -> TermlikeAlgebra:
+def lifted_term_algebra(carrier: Sequence[int], pool: Sequence[Atom]) -> TermlikeAlgebra:
     carrier = tuple(carrier)
     return TermlikeAlgebra(
         f"lifted-elems[{len(carrier)}]",
         carrier=lifted_carrier(carrier),
         sub=sub_lift,
-        generate=lambda rng: rand_lifted_elem(rng, carrier, pool, max_deps),
+        generate=lambda rng: rand_lifted_elem(rng, carrier, pool),
         pool=tuple(pool),
         atm=lambda a: atm_lift(carrier, a),
     )
 
 
-def lifted_bool_algebra(
-    carrier: Sequence[int], pool: Sequence[Atom], max_deps: int = 2
-) -> SubstAlgebra:
+def lifted_bool_algebra(carrier: Sequence[int], pool: Sequence[Atom]) -> SubstAlgebra:
     carrier = tuple(carrier)
     return SubstAlgebra(
         f"lifted-bools[{len(carrier)}]",
         carrier=lifted_carrier(carrier),
         sub=sub_lift,
-        generate=lambda rng: rand_lifted_bool(rng, carrier, pool, max_deps),
+        generate=lambda rng: rand_lifted_bool(rng, carrier, pool),
         pool=tuple(pool),
-        term_algebra=lifted_term_algebra(carrier, pool, max_deps),
+        term_algebra=lifted_term_algebra(carrier, pool),
     )

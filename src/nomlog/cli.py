@@ -195,6 +195,19 @@ def cmd_bridge_test(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nomlog",
@@ -229,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--carrier-size", type=int, default=2,
+    p.add_argument("--carrier-size", type=_at_least(1), default=2,
                    help="carrier {0..n-1} for the lifted algebras")
-    p.add_argument("--pool-size", type=int, default=4, help="atoms drawn from a0..a(n-1)")
+    p.add_argument("--pool-size", type=_at_least(1), default=4, help="atoms drawn from a0..a(n-1)")
     p.set_defaults(run=cmd_check_axioms)
 
     p = sub.add_parser(
@@ -239,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--carrier-size", type=int, default=2)
-    p.add_argument("--pool-size", type=int, default=4)
+    p.add_argument("--carrier-size", type=_at_least(1), default=2)
+    p.add_argument("--pool-size", type=_at_least(2), default=4)
     p.set_defaults(run=cmd_check_nba)
 
     p = sub.add_parser("eval", parents=[common], help="denote a formula in a model file")
@@ -263,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-carrier", type=int, default=3)
+    p.add_argument("--max-carrier", type=_at_least(1), default=3)
     p.set_defaults(run=cmd_bridge_test)
 
     return parser

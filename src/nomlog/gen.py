@@ -79,10 +79,9 @@ def rand_lifted(
     carrier: Sequence[int],
     pool: Sequence[Atom],
     values: Sequence,
-    max_deps: int = 2,
 ) -> LiftedElem:
     carrier = tuple(carrier)
-    deps = rand_subset(rng, pool, max_deps)
+    deps = rand_subset(rng, pool, 2)  # at most two dependencies
     table = tuple(
         rng.choice(tuple(values))
         for _ in range(len(carrier) ** len(deps))
@@ -91,15 +90,15 @@ def rand_lifted(
 
 
 def rand_lifted_bool(
-    rng: random.Random, carrier: Sequence[int], pool: Sequence[Atom], max_deps: int = 2
+    rng: random.Random, carrier: Sequence[int], pool: Sequence[Atom]
 ) -> LiftedElem:
-    return rand_lifted(rng, carrier, pool, (False, True), max_deps)
+    return rand_lifted(rng, carrier, pool, (False, True))
 
 
 def rand_lifted_elem(
-    rng: random.Random, carrier: Sequence[int], pool: Sequence[Atom], max_deps: int = 2
+    rng: random.Random, carrier: Sequence[int], pool: Sequence[Atom]
 ) -> LiftedElem:
-    return rand_lifted(rng, carrier, pool, tuple(carrier), max_deps)
+    return rand_lifted(rng, carrier, pool, tuple(carrier))
 
 
 def rand_model(rng: random.Random, sig: Signature, size: int) -> OrdinaryModel:

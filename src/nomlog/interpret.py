@@ -12,9 +12,10 @@ Which atoms each subterm's table ranges over is fixed by the syntax, so
 `TablePlan(x, size)` compiles a term, formula or sequent, for carriers of one
 size, into a straight-line list of steps over registers: each register a
 table over its subterm's free atoms, not canonicalized, and every
-realignment a `lifting._gather` index tuple taken at compile time.
-`run_plan` executes the steps on one model in a loop; only the tables a
-caller gets back are canonicalized.
+realignment a `lifting._gather` index tuple taken at compile time.  Each
+step holds the `lifting` table kernel that fills its register, and `run_plan`
+calls the kernels in a loop on one model; only the tables a caller gets back
+are canonicalized.
 
 `countermodel_search` enumerates every model up to a carrier size in a fixed
 deterministic order and returns the first one where the glb of the left side
@@ -26,12 +27,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import gt, not_
-from typing import Iterator
+from operator import gt
+from typing import Iterable, Iterator
 
 from .atoms import Atom
-from .errors import ArityError, SearchBudgetError, UnknownSymbolError
-from .lifting import LiftedElem, _gather, canonicalize, dump_lifted, eval_at, first_gap, sub_lift
+from .errors import SearchBudgetError
+from .lifting import LiftedElem, _gather, _union, canonicalize, dump_lifted, eval_at, first_gap
+from .lifting import apply_cells, fold_cells, meet_blocks, negate_cells, sub_lift
 from .models import OrdinaryModel, Valuation, dump_model, eval_formula, eval_term
 from .sequents import Sequent, fa_sequent
 from .syntax import (
@@ -50,8 +52,6 @@ from .syntax import (
     used_signature,
 )
 
-_APPLY, _ALL, _ANY, _NEG, _BLOCK = range(5)  # step opcodes
-
 
 class TablePlan:
     """A term, formula or sequent compiled for carriers of one size.
@@ -61,12 +61,13 @@ class TablePlan:
     operator and the registers of its parts, gets one register; an atom's
     holds the carrier, `bot`'s is constant, a quantifier whose body does not
     range over its atom shares the body's, and every other is filled by one
-    step: (opcode, register, table slot, inputs), each input a (register,
-    gather) pair, where a gather of None reads the register as it is.  _ALL
-    and _ANY fold their inputs cell by cell; _BLOCK takes the `all` of each
-    run of `size` cells of its one input.  `outputs` are the registers of
-    the term or formula, or of a sequent's left glb and right lub; then
-    `compare` reads those two over the union of their deps.
+    step: (kernel, register, slot, inputs).  The kernel is a `lifting` table
+    kernel and `args[slot]` its argument: `all` or `any` for a fold, `size`
+    for a quantifier's blocks, or a symbol (kind, name, arity), whose table
+    `run_plan` looks up per model.  Each input is a (register, gather) pair,
+    where a gather of None reads the register as it is.  `outputs` are the
+    registers of the term or formula, or of a sequent's left glb and right
+    lub; then `compare` reads those two over the union of their deps.
     """
 
     def __init__(self, x: Term | Formula | Sequent, size: int) -> None:
@@ -74,16 +75,17 @@ class TablePlan:
         self.deps: list[tuple[int, ...]] = []
         self.constants: list = []  # the table of a constant register, else None
         self.variables: list[tuple[int, Atom]] = []  # registers holding the carrier
-        self.symbols: dict[tuple[str, str, int], int] = {}  # (kind, name, arity): slot
         self.steps: list[tuple] = []
         self._numbered: dict[tuple, int] = {}
+        self._slots: dict = {}  # kernel argument: its slot, in order of first use
         if isinstance(x, Sequent):
-            left, right = self._side(_ALL, x.left), self._side(_ANY, x.right)
+            left, right = self._side(all, x.left), self._side(any, x.right)
             union = tuple(sorted({*self.deps[left], *self.deps[right]}))
             self.outputs = (left, right)
             self.compare = (self._read(left, union), self._read(right, union))
         else:
             self.outputs = (self._node(x),)
+        self.args = list(self._slots)
 
     def _register(self, key: tuple | None, deps: tuple[int, ...], constant=None):
         """The register numbered `key` (a fresh one for None), and whether
@@ -101,11 +103,12 @@ class TablePlan:
         src = self.deps[reg]
         return reg, None if src == dst else _gather(self.size, src, dst)
 
-    def _emit(self, op: int, key: tuple | None, parts: list[int], slot=None) -> int:
+    def _emit(self, kernel, arg, key: tuple | None, parts: list[int]) -> int:
         deps = tuple(sorted({i for r in parts for i in self.deps[r]}))
         reg, new = self._register(key, deps)
         if new:
-            self.steps.append((op, reg, slot, tuple(self._read(r, deps) for r in parts)))
+            slot = self._slots.setdefault(arg, len(self._slots))
+            self.steps.append((kernel, reg, slot, tuple(self._read(r, deps) for r in parts)))
         return reg
 
     def _quantify(self, a: Atom, body: int) -> int:
@@ -115,7 +118,8 @@ class TablePlan:
         deps = tuple(i for i in src if i != a.index)
         reg, new = self._register(("all", a.index, body), deps)
         if new:  # read with a varying fastest, each output cell is one block
-            self.steps.append((_BLOCK, reg, None, (self._read(body, (*deps, a.index)),)))
+            slot = self._slots.setdefault(self.size, len(self._slots))
+            self.steps.append((meet_blocks, reg, slot, (self._read(body, (*deps, a.index)),)))
         return reg
 
     def _node(self, x: Term | Formula) -> int:
@@ -139,13 +143,12 @@ class TablePlan:
                 case Bot():
                     reg = self._register(("bot",), (), (False,))[0]
                 case App(name) | Pred(name):
-                    kind = "fun" if isinstance(y, App) else "pred"
-                    slot = self.symbols.setdefault((kind, name, n), len(self.symbols))
-                    reg = self._emit(_APPLY, (kind, name, *parts), parts, slot)
+                    symbol = ("fun" if isinstance(y, App) else "pred", name, n)
+                    reg = self._emit(apply_cells, symbol, (*symbol, *parts), parts)
                 case And():
-                    reg = self._emit(_ALL, ("and", *parts), parts)
+                    reg = self._emit(fold_cells, all, ("and", *parts), parts)
                 case Neg():
-                    reg = self._emit(_NEG, ("neg", *parts), parts)
+                    reg = self._emit(negate_cells, None, ("neg", *parts), parts)
                 case All(a):
                     reg = self._quantify(a, *parts)
                 case _:
@@ -153,13 +156,13 @@ class TablePlan:
             done.append(reg)
         return done[0]
 
-    def _side(self, op: int, formulas: tuple[Formula, ...]) -> int:
+    def _side(self, op, formulas: tuple[Formula, ...]) -> int:
         parts = [self._node(f) for f in formulas]
         if len(parts) == 1:
             return parts[0]
         if not parts:  # the empty glb is true, the empty lub false
-            return self._register(None, (), (op == _ALL,))[0]
-        return self._emit(op, None, parts)
+            return self._register(None, (), (op is all,))[0]
+        return self._emit(fold_cells, op, None, parts)
 
 
 def _parts(x: Term | Formula) -> tuple:
@@ -173,17 +176,6 @@ def _parts(x: Term | Formula) -> tuple:
     return ()
 
 
-def _table(model: OrdinaryModel, kind: str, name: str, arity: int) -> dict:
-    tables = model.funs if kind == "fun" else model.preds
-    if name not in tables:
-        what = "term former" if kind == "fun" else "predicate"
-        raise UnknownSymbolError(f"model interprets no {what} {name!r}")
-    expected = len(next(iter(tables[name])))
-    if expected != arity:
-        raise ArityError(f"{name} expects {expected} arguments, got {arity}")
-    return tables[name]
-
-
 def _column(regs: list[tuple], reg: int, where: tuple | None):
     return regs[reg] if where is None else map(regs[reg].__getitem__, where)
 
@@ -193,21 +185,12 @@ def run_plan(plan: TablePlan, model: OrdinaryModel) -> list[tuple]:
     carrier, k = model.carrier, plan.size
     if len(carrier) != k:
         raise ValueError(f"plan for carriers of size {k}, model has {len(carrier)}")
-    tables = [_table(model, *symbol) for symbol in plan.symbols]
+    args = [model.table(*arg) if isinstance(arg, tuple) else arg for arg in plan.args]
     regs = list(plan.constants)
     for reg, _ in plan.variables:
         regs[reg] = carrier
-    for op, out, slot, ins in plan.steps:
-        cols = [_column(regs, *read) for read in ins]
-        if op == _APPLY:
-            table = tables[slot]
-            regs[out] = tuple(map(table.__getitem__, zip(*cols))) if cols else (table[()],)
-        elif op == _NEG:
-            regs[out] = tuple(map(not_, *cols))
-        elif op == _BLOCK:
-            regs[out] = tuple(map(all, zip(*[iter(cols[0])] * k)))
-        else:
-            regs[out] = tuple(map(all if op == _ALL else any, zip(*cols)))
+    for kernel, out, slot, ins in plan.steps:
+        regs[out] = kernel([_column(regs, *read) for read in ins], args[slot])
     return regs
 
 
@@ -223,21 +206,18 @@ def _canonical_outputs(plan: TablePlan, regs: list[tuple], carrier: tuple) -> li
     index has two display names)."""
     elems: dict[int, LiftedElem] = {}
 
-    def settle(reg: int, named: dict[int, Atom]) -> None:
+    def settle(reg: int, atoms: Iterable[Atom]) -> None:
+        named = {a.index: a for a in _union(atoms)}
         deps = tuple(named.get(i) or Atom(i) for i in plan.deps[reg])
         elems[reg] = canonicalize(LiftedElem(carrier, deps, regs[reg]))
 
     for reg, a in plan.variables:
-        settle(reg, {a.index: a})
+        settle(reg, (a,))
     for reg, table in enumerate(plan.constants):
         if table is not None:
-            settle(reg, {})
+            settle(reg, ())
     for _, out, _, ins in plan.steps:
-        named: dict[int, Atom] = {}
-        for reg, _ in ins:
-            for a in elems[reg].deps:
-                named.setdefault(a.index, a)
-        settle(out, named)
+        settle(out, (a for reg, _ in ins for a in elems[reg].deps))
     return [elems[reg] for reg in plan.outputs]
 
 

@@ -89,7 +89,7 @@ class NominalPoset(CarrierHandle):
         return self.neg(self.uquant(a, self.neg(x)))
 
 
-def lifted_nba(carrier: Sequence[int], pool: Sequence[Atom], max_deps: int = 2) -> NominalPoset:
+def lifted_nba(carrier: Sequence[int], pool: Sequence[Atom]) -> NominalPoset:
     """The boolean-valued lifted carrier over a finite model's carrier."""
     c = tuple(carrier)
     return NominalPoset(
@@ -99,9 +99,9 @@ def lifted_nba(carrier: Sequence[int], pool: Sequence[Atom], max_deps: int = 2) 
         fresh_glb=lambda A, X: fresh_glb_lift(c, A, X),
         complement=neg_lift,
         sub=sub_lift,
-        term_algebra=lifted_term_algebra(c, pool, max_deps),
+        term_algebra=lifted_term_algebra(c, pool),
         term_enum=lambda atoms: enumerate_lifted(c, atoms, c),
-        generate=lambda rng: rand_lifted_bool(rng, c, pool, max_deps),
+        generate=lambda rng: rand_lifted_bool(rng, c, pool),
         pool=pool,
     )
 
@@ -194,13 +194,13 @@ def check_all_glb_pool(h: NominalPoset, x, a: Atom, u_pool: Sequence) -> str:
 
 # -- the suite -------------------------------------------------------------------
 
+_GLB_TRIALS = 40  # draws for the bounded glb law
+
 
 def run_nba_suite(
     h: NominalPoset,
     trials: int = 500,
     seed: int = 0,
-    glb_pool_size: int = 3,
-    glb_trials: int = 40,
 ) -> list[SuiteReport]:
     """Randomized law suite for a substitution-compatible boolean carrier.
 
@@ -317,20 +317,20 @@ def run_nba_suite(
     glb_report = SuiteReport("AllGlbPool")
     u_pool = None
     if h.term_enum is not None:
-        pool3 = tuple(pool[:glb_pool_size])
+        pool3 = tuple(pool[:3])
         try:
             u_pool = tuple(h.term_enum(pool3))
         except OverflowError:
             u_pool = None
     if u_pool is not None and len(u_pool) <= 4096:
-        for _ in range(glb_trials):
+        for _ in range(_GLB_TRIALS):
             x = h.generate(rng)
             a = rng.choice(pool)
             glb_report.record(
                 check_all_glb_pool(h, x, a, u_pool), lambda x=x, a=a: f"x={x!r} a={a}"
             )
     else:
-        glb_report.skipped = glb_trials
+        glb_report.skipped = _GLB_TRIALS
     reports["AllGlbPool"] = glb_report
 
     return list(reports.values())

@@ -14,7 +14,10 @@ and then combines them cell by cell.  `_gather` computes each realignment,
 the table position of every assignment to the common coordinates, from the
 carrier size and the two atom lists alone.  It is cached because the same
 few shapes recur for every model a search visits.  Only `eval_at`, which
-reads a single cell, computes a position itself.
+reads a single cell, computes a position itself.  The combining is done by
+four table kernels, `apply_cells`, `fold_cells`, `negate_cells` and
+`meet_blocks`; each takes the aligned columns and one argument, so the steps
+of `nomlog.interpret`'s compiled plans hold and call the same kernels.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import not_
 from typing import Iterable, Sequence
 
 from .atoms import Atom, AtomSet, Carrier, Perm
-from .errors import ArityError, UnknownSymbolError
 from .models import OrdinaryModel, Valuation
 
 
@@ -68,6 +71,38 @@ def _spread(x: LiftedElem, dst: Sequence[Atom], src: Sequence[Atom] | None = Non
     src = x.deps if src is None else src
     where = _gather(len(x.carrier), tuple(a.index for a in src), tuple(a.index for a in dst))
     return tuple(map(x.values.__getitem__, where))
+
+
+def _union(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
+    """The atoms by ascending index, keeping the first atom object seen for
+    each index (which decides the display name when an index has two)."""
+    first: dict[int, Atom] = {}
+    for a in atoms:
+        first.setdefault(a.index, a)
+    return tuple(first[i] for i in sorted(first))
+
+
+# -- table kernels ------------------------------------------------------------
+
+
+def apply_cells(cols, table) -> tuple:
+    """The model table at each cell of the zipped columns (its one cell at arity 0)."""
+    return tuple(map(table.__getitem__, zip(*cols))) if cols else (table[()],)
+
+
+def fold_cells(cols, op) -> tuple:
+    """`op` (`all` or `any`) of each cell across the columns."""
+    return tuple(map(op, zip(*cols)))
+
+
+def negate_cells(cols, _=None) -> tuple:
+    """The negation of the one column, cell by cell."""
+    return tuple(map(not_, *cols))
+
+
+def meet_blocks(cols, n: int) -> tuple:
+    """The `all` of each run of n cells of the one column."""
+    return tuple(map(all, zip(*[iter(cols[0])] * n)))
 
 
 def canonicalize(f: LiftedElem) -> LiftedElem:
@@ -137,7 +172,7 @@ def sub_lift(f: LiftedElem, a: Atom, g: LiftedElem) -> LiftedElem:
     if a not in f.deps:
         return f
     k = len(f.carrier)
-    deps = tuple((AtomSet(f.deps) - AtomSet.of(a)) | AtomSet(g.deps))
+    deps = _union((*(b for b in f.deps if b != a), *g.deps))
     # f is read with a renamed to _NO_ATOM varying fastest, so each cell over
     # deps owns k positions, one per value of a; the rename keeps a apart
     # from g's own a when a is in g.deps.
@@ -153,7 +188,7 @@ def first_gap(f: LiftedElem, g: LiftedElem) -> Valuation | None:
     boolean table f holds and g does not; None when f is below g."""
     if f.carrier != g.carrier:
         raise ValueError("comparison across different carriers")
-    deps = tuple(AtomSet((*f.deps, *g.deps)))
+    deps = _union((*f.deps, *g.deps))
     rows = itertools.product(f.carrier, repeat=len(deps))
     for row, x, y in zip(rows, _spread(f, deps), _spread(g, deps)):
         if x and not y:
@@ -168,7 +203,7 @@ def le_lift(f: LiftedElem, g: LiftedElem) -> bool:
 
 def neg_lift(f: LiftedElem) -> LiftedElem:
     # Negation preserves which coordinates matter, so no re-canonicalization.
-    return LiftedElem(f.carrier, f.deps, tuple(not v for v in f.values))
+    return LiftedElem(f.carrier, f.deps, negate_cells([f.values]))
 
 
 def fresh_glb_lift(
@@ -179,49 +214,35 @@ def fresh_glb_lift(
     carrier = tuple(carrier)
     if any(x.carrier != carrier for x in xs):
         raise ValueError("meet across different carriers")
-    fresh = AtomSet(fresh)
-    used = AtomSet(a for x in xs for a in x.deps)
-    deps = tuple(used - fresh)
-    bound = tuple(a for a in used if a in fresh)
+    if not xs:
+        return top_lift(carrier)
+    fresh = {a.index for a in fresh}
+    used = _union(a for x in xs for a in x.deps)
+    deps = tuple(a for a in used if a.index not in fresh)
+    bound = tuple(a for a in used if a.index in fresh)
     # With the bound atoms varying fastest, each cell over deps is the meet
-    # of one contiguous block of every spread.
-    block = len(carrier) ** len(bound)
-    spreads = [_spread(x, (*deps, *bound)) for x in xs]
-    values = tuple(
-        all(all(s[i : i + block]) for s in spreads)
-        for i in range(0, len(carrier) ** (len(deps) + len(bound)), block)
-    )
+    # of one run of k^|bound| cells of the inputs' meet.
+    meet = fold_cells([_spread(x, (*deps, *bound)) for x in xs], all)
+    values = meet_blocks([meet], len(carrier) ** len(bound))
     return canonicalize(LiftedElem(carrier, deps, values))
 
 
 def lift_fn(model: OrdinaryModel, name: str, args: Sequence[LiftedElem]) -> LiftedElem:
     """Pointwise application of a model's function table."""
-    if name not in model.funs:
-        raise UnknownSymbolError(f"model interprets no term former {name!r}")
-    table = model.funs[name]
-    arity = len(next(iter(table)))
-    if len(args) != arity:
-        raise ArityError(f"{name} expects {arity} arguments, got {len(args)}")
-    return _apply_table(model.carrier, table, args)
+    return _apply_table(model.carrier, model.table("fun", name, len(args)), args)
 
 
 def lift_pred(model: OrdinaryModel, name: str, args: Sequence[LiftedElem]) -> LiftedElem:
     """Pointwise application of a model's predicate table."""
-    if name not in model.preds:
-        raise UnknownSymbolError(f"model interprets no predicate {name!r}")
-    table = model.preds[name]
-    arity = len(next(iter(table)))
-    if len(args) != arity:
-        raise ArityError(f"{name} expects {arity} arguments, got {len(args)}")
-    return _apply_table(model.carrier, table, args)
+    return _apply_table(model.carrier, model.table("pred", name, len(args)), args)
 
 
 def _apply_table(carrier: tuple[int, ...], table, args: Sequence[LiftedElem]) -> LiftedElem:
     if any(x.carrier != carrier for x in args):
         raise ValueError("application across different carriers")
-    deps = tuple(AtomSet(a for x in args for a in x.deps))
-    keys = zip(*(_spread(x, deps) for x in args)) if args else [()]
-    return canonicalize(LiftedElem(carrier, deps, tuple(table[key] for key in keys)))
+    deps = _union(a for x in args for a in x.deps)
+    values = apply_cells([_spread(x, deps) for x in args], table)
+    return canonicalize(LiftedElem(carrier, deps, values))
 
 
 def dump_lifted(f: LiftedElem) -> str:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .atoms import Atom, AtomSet, Perm
-from .errors import ModelFormatError, UnboundAtomError, UnknownSymbolError
+from .errors import ArityError, ModelFormatError, UnboundAtomError, UnknownSymbolError
 from .syntax import All, And, App, Bot, Formula, Neg, Pred, Signature, Term, Var
 
 
@@ -60,15 +60,22 @@ class OrdinaryModel:
             preds={name: len(next(iter(t))) for name, t in self.preds.items()},
         )
 
+    def table(self, kind: str, name: str, arity: int) -> dict:
+        """The "fun" or "pred" table named `name`, checked to take `arity` arguments."""
+        tables = self.funs if kind == "fun" else self.preds
+        if name not in tables:
+            what = "term former" if kind == "fun" else "predicate"
+            raise UnknownSymbolError(f"model interprets no {what} {name!r}")
+        expected = len(next(iter(tables[name])))
+        if expected != arity:
+            raise ArityError(f"{name} expects {expected} arguments, got {arity}")
+        return tables[name]
+
     def fun_value(self, name: str, args: tuple[int, ...]) -> int:
-        if name not in self.funs:
-            raise UnknownSymbolError(f"model interprets no term former {name!r}")
-        return self.funs[name][args]
+        return self.table("fun", name, len(args))[args]
 
     def pred_value(self, name: str, args: tuple[int, ...]) -> bool:
-        if name not in self.preds:
-            raise UnknownSymbolError(f"model interprets no predicate {name!r}")
-        return self.preds[name][args]
+        return self.table("pred", name, len(args))[args]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrdinaryModel):

@@ -136,23 +136,14 @@ class _Parser:
 
     # -- formers ----------------------------------------------------------
 
-    def _check_fun(self, name: str, arity: int, offset: int) -> None:
+    def _check(self, table: dict[str, int], noun: str, name: str, arity: int, offset: int) -> None:
+        """`name`, a `noun` of the signature's `table`, used with `arity` arguments."""
         if self.infer:
-            have = self.sig.funs.setdefault(name, arity)
+            have = table.setdefault(name, arity)
         else:
-            if name not in self.sig.funs:
-                raise ParseError(f"unknown term former {name!r}", offset)
-            have = self.sig.funs[name]
-        if have != arity:
-            raise ParseError(f"{name} expects {have} arguments, got {arity}", offset)
-
-    def _check_pred(self, name: str, arity: int, offset: int) -> None:
-        if self.infer:
-            have = self.sig.preds.setdefault(name, arity)
-        else:
-            if name not in self.sig.preds:
-                raise ParseError(f"unknown predicate {name!r}", offset)
-            have = self.sig.preds[name]
+            if name not in table:
+                raise ParseError(f"unknown {noun} {name!r}", offset)
+            have = table[name]
         if have != arity:
             raise ParseError(f"{name} expects {have} arguments, got {arity}", offset)
 
@@ -165,7 +156,7 @@ class _Parser:
         self.next()
         if self.peek().kind == "(":
             args = self.args()
-            self._check_fun(tok.text, len(args), tok.offset)
+            self._check(self.sig.funs, "term former", tok.text, len(args), tok.offset)
             return App(tok.text, args)
         if not self.infer and self.sig.funs.get(tok.text) == 0:
             return App(tok.text, ())
@@ -229,9 +220,9 @@ class _Parser:
             return Bot()
         if self.peek().kind == "(":
             args = self.args()
-            self._check_pred(tok.text, len(args), tok.offset)
+            self._check(self.sig.preds, "predicate", tok.text, len(args), tok.offset)
             return Pred(tok.text, args)
-        self._check_pred(tok.text, 0, tok.offset)
+        self._check(self.sig.preds, "predicate", tok.text, 0, tok.offset)
         return Pred(tok.text, ())
 
     # -- sequents ------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .atoms import Atom, AtomSet, Carrier, Perm, fresh_atom, swap
-from .errors import ArityError, UnknownSymbolError
+from .errors import ArityError
 
 
 class Signature:
@@ -29,59 +29,6 @@ class Signature:
         for name, arity in (*self.funs.items(), *self.preds.items()):
             if arity < 0:
                 raise ArityError(f"negative arity for {name}")
-
-    def fun_arity(self, name: str) -> int:
-        try:
-            return self.funs[name]
-        except KeyError:
-            raise UnknownSymbolError(f"unknown term former {name!r}") from None
-
-    def pred_arity(self, name: str) -> int:
-        try:
-            return self.preds[name]
-        except KeyError:
-            raise UnknownSymbolError(f"unknown predicate former {name!r}") from None
-
-    def fun(self, name: str, *args: "Term") -> "App":
-        if len(args) != self.fun_arity(name):
-            raise ArityError(f"{name} expects {self.funs[name]} arguments, got {len(args)}")
-        return App(name, tuple(args))
-
-    def pred(self, name: str, *args: "Term") -> "Pred":
-        if len(args) != self.pred_arity(name):
-            raise ArityError(f"{name} expects {self.preds[name]} arguments, got {len(args)}")
-        return Pred(name, tuple(args))
-
-    def validate_term(self, r: "Term") -> None:
-        match r:
-            case Var(_):
-                pass
-            case App(former, args):
-                if len(args) != self.fun_arity(former):
-                    raise ArityError(
-                        f"{former} expects {self.funs[former]} arguments, got {len(args)}"
-                    )
-                for s in args:
-                    self.validate_term(s)
-
-    def validate_formula(self, f: "Formula") -> None:
-        match f:
-            case Bot():
-                pass
-            case Pred(former, args):
-                if len(args) != self.pred_arity(former):
-                    raise ArityError(
-                        f"{former} expects {self.preds[former]} arguments, got {len(args)}"
-                    )
-                for s in args:
-                    self.validate_term(s)
-            case And(l, r):
-                self.validate_formula(l)
-                self.validate_formula(r)
-            case Neg(b):
-                self.validate_formula(b)
-            case All(_, b):
-                self.validate_formula(b)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Signature):

@@ -210,12 +210,19 @@ def test_bridge_test(capsys):
 
 
 def test_usage_error_exits_2():
-    with pytest.raises(SystemExit) as e:
-        main([])
-    assert e.value.code == 2
-    with pytest.raises(SystemExit) as e:
-        main(["countermodel"])  # missing required --sequent
-    assert e.value.code == 2
+    for argv in (
+        [],
+        ["countermodel"],  # missing required --sequent
+        ["check-axioms", "--carrier-size", "0"],
+        ["check-axioms", "--pool-size", "0"],
+        ["check-nba", "--carrier-size", "0"],
+        ["check-nba", "--pool-size", "0"],
+        ["check-nba", "--pool-size", "1"],
+        ["bridge-test", "--max-carrier", "0"],
+    ):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2, argv
 
 
 LIMIT = 256  # nomlog.parsing.MAX_NESTING

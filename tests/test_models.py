@@ -4,6 +4,7 @@
 import pytest
 
 from nomlog import (
+    ArityError,
     Atom,
     ModelFormatError,
     OrdinaryModel,
@@ -54,6 +55,14 @@ def test_load_model_golden():
         m.fun_value("g", (0,))
     with pytest.raises(UnknownSymbolError):
         m.pred_value("Q", (0,))
+
+
+def test_wrong_arity_lookup_raises_arity_error():
+    m = load_model(TWO)
+    with pytest.raises(ArityError, match="f expects 1 arguments, got 2"):
+        m.fun_value("f", (0, 1))
+    with pytest.raises(ArityError, match="P expects 1 arguments, got 0"):
+        m.pred_value("P", ())
 
 
 def test_load_model_space_separated_entries():

@@ -15,7 +15,6 @@ from nomlog import (
     Neg,
     Pred,
     Signature,
-    UnknownSymbolError,
     Var,
     act_formula,
     act_term,
@@ -235,23 +234,8 @@ def test_subst_identity(f, x):
 
 
 def test_signature_validation():
-    sig = Signature(funs={"f": 1}, preds={"P": 1})
-    assert sig.fun("f", Var(a)) == App("f", (Var(a),))
-    with pytest.raises(ArityError):
-        sig.fun("f", Var(a), Var(b))
-    with pytest.raises(UnknownSymbolError):
-        sig.pred_arity("Q")
     with pytest.raises(ArityError):
         Signature(funs={"f": -1})
-
-
-def test_validate_formula():
-    sig = Signature(funs={"f": 1}, preds={"P": 1})
-    sig.validate_formula(All(a, P(App("f", (Var(a),)))))
-    with pytest.raises(UnknownSymbolError):
-        sig.validate_formula(Pred("Q", (Var(a),)))
-    with pytest.raises(ArityError):
-        sig.validate_formula(Pred("P", (Var(a), Var(b))))
 
 
 def test_used_signature():
