@@ -162,13 +162,14 @@ def cmd_eval(args) -> int:
 
 def cmd_countermodel(args) -> int:
     seq = parse_sequent(args.sequent)
-    found = countermodel_search(seq, args.max_size, budget=args.budget)
-    if found is None:
-        print("found=no")
-        return 1
-    print("found=yes")
-    print(found.report())
-    return 0
+    stats: dict = {}
+    found = countermodel_search(seq, args.max_size, budget=args.budget, stats=stats)
+    print("found=no" if found is None else f"found=yes\n{found.report()}")
+    if args.format == "machine":
+        for size, counts in stats.items():
+            for name, n in counts.items():
+                print(f"stats.{size}.{name}={n}")
+    return 1 if found is None else 0
 
 
 def cmd_bridge_test(args) -> int:
@@ -240,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("atoms", "terms", "formulas", "lifted", "lifted-bool"),
         default="formulas",
     )
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--carrier-size", type=_at_least(1), default=2,
                    help="carrier {0..n-1} for the lifted algebras")
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "check-nba", parents=[common], help="randomized boolean-algebra law suite"
     )
-    p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--trials", type=_at_least(1), default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--carrier-size", type=_at_least(1), default=2)
     p.add_argument("--pool-size", type=_at_least(2), default=4)
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         "countermodel", parents=[common], help="search finite models refuting a sequent"
     )
     p.add_argument("--sequent", required=True)
-    p.add_argument("--max-size", type=int, default=3)
+    p.add_argument("--max-size", type=_at_least(1), default=3)
     p.add_argument("--budget", type=int, default=10_000_000,
                    help="refuse searches needing more table checks than this")
     p.set_defaults(run=cmd_countermodel)
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bridge-test", parents=[common],
         help="random check that table denotations match valuation evaluation",
     )
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-carrier", type=_at_least(1), default=3)
     p.set_defaults(run=cmd_bridge_test)

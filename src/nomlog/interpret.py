@@ -17,15 +17,27 @@ step holds the `lifting` table kernel that fills its register, and `run_plan`
 calls the kernels in a loop on one model; only the tables a caller gets back
 are canonicalized.
 
-`countermodel_search` enumerates every model up to a carrier size in a fixed
-deterministic order and returns the first one where the glb of the left side
-is not below the lub of the right side.  The sequent is compiled once per
-carrier size: `refute` keeps the plan of the last sequent object it saw.
+`countermodel_search` returns the first model, in `enumerate_models` order
+and carrier size by size, where the glb of the left side is not below the
+lub of the right side.  It walks the symbols' table choices as a tree, one
+level per symbol, and builds an `OrdinaryModel` only for the one it reports.
+Each plan step runs at the level of the latest symbol it reads, once per
+choice of that table.  A subtree is cut once a settled left glb is all false,
+a settled right lub all true, or two settled sides have no gap.  Relabelling
+the carrier maps countermodels to countermodels, so the first one is the
+least of its isomorphism class, and models a relabelling would move earlier
+are skipped: each level keeps the permutations tied with the identity so far,
+skips a table whose image under one comes first, and drops those whose image
+comes later (the lex-leader scheme of Crawford, Ginsberg, Luks and Roy,
+KR 1996), on carriers up to `SYMMETRY_MAX_SIZE`.  A caller's `stats` dict
+gets, per size, the models estimated (`count_models`, an upper bound on the
+work), tested for a gap, cut, and skipped as symmetric.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import gt
 from typing import Iterable, Iterator
@@ -189,7 +201,12 @@ def run_plan(plan: TablePlan, model: OrdinaryModel) -> list[tuple]:
     regs = list(plan.constants)
     for reg, _ in plan.variables:
         regs[reg] = carrier
-    for kernel, out, slot, ins in plan.steps:
+    return _run(plan.steps, regs, args)
+
+
+def _run(steps: list[tuple], regs: list, args: list) -> list:
+    """Run the steps in order, each filling its register from its inputs'."""
+    for kernel, out, slot, ins in steps:
         regs[out] = kernel([_column(regs, *read) for read in ins], args[slot])
     return regs
 
@@ -242,23 +259,9 @@ def is_valid(model: OrdinaryModel, f: Formula) -> bool:
     return all(run_plan(plan, model)[plan.outputs[0]])
 
 
-_last_plan: tuple | None = None  # (sequent, size, plan) of the last sequent compiled
-
-
-def _sequent_plan(seq: Sequent, size: int) -> TablePlan:
-    """seq's plan, compiled again only when the sequent object or the size
-    differs from the last call's.  Identity, not equality: a `Sequent`'s hash
-    recomputes its alpha keys."""
-    global _last_plan
-    last = _last_plan
-    if last is None or last[0] is not seq or last[1] != size:
-        last = _last_plan = (seq, size, TablePlan(seq, size))
-    return last[2]
-
-
 def sequent_holds(model: OrdinaryModel, seq: Sequent) -> bool:
     """glb of the left side below lub of the right side, as tables."""
-    plan = _sequent_plan(seq, len(model.carrier))
+    plan = TablePlan(seq, len(model.carrier))
     return not _has_gap(plan, run_plan(plan, model))
 
 
@@ -300,34 +303,131 @@ def count_models(sig: Signature, size: int) -> int:
     return total
 
 
-def enumerate_models(sig: Signature, size: int) -> Iterator[OrdinaryModel]:
-    """Every model with carrier {0..size-1}, in a fixed order.
-
-    Symbols go alphabetically (term formers before predicates); function
-    tables count up from all-zero and predicate tables from all-true, with
-    later symbols varying fastest.  The first refutation found by
-    `countermodel_search` is therefore reproducible.
-    """
+def _levels(sig: Signature, size: int) -> list[tuple]:
+    """The symbols in enumeration order, term formers before predicates and
+    each kind alphabetically, as (symbol, argument tuples, cells) with symbol
+    = (kind, name, arity).  A table sends each argument tuple to a cell."""
     carrier = tuple(range(size))
-    plan = [("fun", name, sig.funs[name]) for name in sorted(sig.funs)]
-    plan += [("pred", name, sig.preds[name]) for name in sorted(sig.preds)]
-    funs: dict = {}
-    preds: dict = {}
+    symbols = [("fun", name, sig.funs[name]) for name in sorted(sig.funs)]
+    symbols += [("pred", name, sig.preds[name]) for name in sorted(sig.preds)]
+    return [
+        (sym, tuple(itertools.product(carrier, repeat=sym[2])),
+         carrier if sym[0] == "fun" else (True, False))
+        for sym in symbols
+    ]
+
+
+def _choices(keys: tuple, cells: tuple) -> Iterator[tuple[tuple, dict]]:
+    """Every table from `keys` to `cells` as (ranks, table), ranks[n] being
+    the position in `cells` of key n's value, in the order of the ranks: from
+    all-zero for functions and all-true for predicates."""
+    for ranks in itertools.product(range(len(cells)), repeat=len(keys)):
+        yield ranks, dict(zip(keys, map(cells.__getitem__, ranks)))
+
+
+def _model(size: int, tables: dict) -> OrdinaryModel:
+    """The model interpreting each symbol (kind, name, arity) by its table."""
+    funs = {name: t for (kind, name, _), t in tables.items() if kind == "fun"}
+    preds = {name: t for (kind, name, _), t in tables.items() if kind == "pred"}
+    return OrdinaryModel(range(size), funs=funs, preds=preds)
+
+
+def enumerate_models(sig: Signature, size: int) -> Iterator[OrdinaryModel]:
+    """Every model with carrier {0..size-1}, in a fixed order: the symbols
+    as `_levels` lists them, each table as `_choices` orders them, with later
+    symbols varying fastest.  Searches report the first refutation in it."""
+    levels = _levels(sig, size)
+    tables: dict = {}
 
     def fill(i: int) -> Iterator[OrdinaryModel]:
-        if i == len(plan):
-            yield OrdinaryModel(carrier, funs=funs, preds=preds)
+        if i == len(levels):
+            yield _model(size, tables)
             return
-        kind, name, arity = plan[i]
-        keys = tuple(itertools.product(carrier, repeat=arity))
-        cells = carrier if kind == "fun" else (True, False)
-        target = funs if kind == "fun" else preds
-        for values in itertools.product(cells, repeat=len(keys)):
-            target[name] = dict(zip(keys, values))
+        sym, keys, cells = levels[i]
+        for _, table in _choices(keys, cells):
+            tables[sym] = table
             yield from fill(i + 1)
-        del target[name]
 
     return fill(0)
+
+
+SYMMETRY_MAX_SIZE = 5  # 119 permutations to compare each first-level table with
+
+
+def _relabel(p: tuple[int, ...], kind: str, keys: tuple) -> tuple[tuple, tuple]:
+    """Relabelling the carrier along p, on a table's ranks: the image's rank
+    at key n is values[ranks[positions[n]]].  A function's image sends p(x)
+    to p(f(x)), a predicate's holds at p(x) where it held at x."""
+    where = {key: n for n, key in enumerate(keys)}
+    inverse = sorted(range(len(p)), key=p.__getitem__)
+    positions = tuple(where[tuple(map(inverse.__getitem__, key))] for key in keys)
+    return positions, p if kind == "fun" else (0, 1)
+
+
+def _still_tied(ranks: tuple, acts: list[tuple], tied: list[int]) -> list[int] | None:
+    """The permutations in `tied` under whose `acts` this table is its own
+    image, or None when one's image comes first."""
+    kept = []
+    for p in tied:
+        positions, values = acts[p]
+        image = tuple(map(values.__getitem__, map(ranks.__getitem__, positions)))
+        if image < ranks:
+            return None
+        if image == ranks:
+            kept.append(p)
+    return kept
+
+
+def _leaves(plan: TablePlan, sig: Signature, counts: dict) -> Iterator[tuple[list, dict]]:
+    """The models with carrier {0..size-1} that neither the cut nor symmetry
+    rules out, in `enumerate_models` order, as (registers of the sequent's
+    `plan`, symbols' tables), both updated in place.  `counts` gets the models
+    yielded ("tested"), cut and skipped as "symmetric"."""
+    size, levels = plan.size, _levels(sig, plan.size)
+    depth = len(levels)
+    level_of = {sym: i for i, (sym, _, _) in enumerate(levels)}
+    level = [-1] * len(plan.deps)  # the latest symbol each register reads
+    stages: list[list] = [[] for _ in range(depth + 1)]  # steps by level, -1 first
+    for step in plan.steps:
+        _, out, slot, ins = step
+        level[out] = max([level_of.get(plan.args[slot], -1), *(level[r] for r, _ in ins)])
+        stages[level[out] + 1].append(step)
+    left, right = plan.outputs
+    gap_level = max(level[left], level[right])
+    # rest[i]: the models under one choice of the tables before level i
+    rest = [math.prod(len(c) ** len(k) for _, k, c in levels[i:]) for i in range(depth + 1)]
+    perms = list(itertools.permutations(range(size)))[1:] if size <= SYMMETRY_MAX_SIZE else []
+    acts = [[_relabel(p, sym[0], keys) for p in perms] for sym, keys, _ in levels]
+    regs = list(plan.constants)
+    for reg, _ in plan.variables:
+        regs[reg] = tuple(range(size))
+    args = list(plan.args)
+    slots = {arg: slot for slot, arg in enumerate(args)}
+    tables: dict = {}
+
+    def walk(i: int, tied: list[int]) -> Iterator[tuple[list, dict]]:
+        if i == depth:
+            counts["tested"] += 1
+            yield regs, tables
+        elif (  # the sides settled by the tables so far leave no gap below
+            level[left] < i and not any(regs[left])
+            or level[right] < i and all(regs[right])
+            or gap_level < i and not _has_gap(plan, regs)
+        ):
+            counts["cut"] += rest[i]
+        else:
+            sym, keys, cells = levels[i]
+            for ranks, table in _choices(keys, cells):
+                still = _still_tied(ranks, acts[i], tied)
+                if still is None:
+                    counts["symmetric"] += rest[i + 1]
+                    continue
+                args[slots[sym]] = tables[sym] = table
+                _run(stages[i + 1], regs, args)
+                yield from walk(i + 1, still)
+
+    _run(stages[0], regs, args)
+    yield from walk(0, list(range(len(perms))))
 
 
 @dataclass
@@ -350,39 +450,44 @@ class Countermodel:
         return "\n".join(lines)
 
 
-def refute(model: OrdinaryModel, seq: Sequent) -> Countermodel | None:
-    """The witnessing gap in this model, or None when the sequent holds."""
-    plan = _sequent_plan(seq, len(model.carrier))
-    regs = run_plan(plan, model)
-    if not _has_gap(plan, regs):
-        return None
+def _countermodel(plan: TablePlan, regs: list[tuple], model: OrdinaryModel) -> Countermodel:
     left, right = _canonical_outputs(plan, regs, model.carrier)
     return Countermodel(model, first_gap(left, right), left, right)
+
+
+def refute(model: OrdinaryModel, seq: Sequent) -> Countermodel | None:
+    """The witnessing gap in this model, or None when the sequent holds."""
+    plan = TablePlan(seq, len(model.carrier))
+    regs = run_plan(plan, model)
+    return _countermodel(plan, regs, model) if _has_gap(plan, regs) else None
 
 
 def countermodel_search(
     seq: Sequent,
     max_size: int,
     budget: int = 10_000_000,
+    stats: dict | None = None,
 ) -> Countermodel | None:
     """First countermodel over carriers {0}, {0,1}, ... up to max_size.
 
     Work is estimated up front as (number of models) x (carrier assignments
     to the sequent's free atoms); past the budget the search refuses with
-    `SearchBudgetError` rather than silently running for hours.
+    `SearchBudgetError` rather than silently running for hours.  A `stats`
+    dict gets, per size searched, the models "estimated" and `_leaves`' counts.
     """
     sig = used_signature((*seq.left, *seq.right))
     n_free = len(fa_sequent(seq))
-    total = sum(
-        count_models(sig, size) * size**n_free for size in range(1, max_size + 1)
-    )
+    estimated = {size: count_models(sig, size) for size in range(1, max_size + 1)}
+    total = sum(n * size**n_free for size, n in estimated.items())
     if total > budget:
         raise SearchBudgetError(
             f"search needs about {total} table checks; budget is {budget}"
         )
-    for size in range(1, max_size + 1):
-        for model in enumerate_models(sig, size):
-            found = refute(model, seq)
-            if found is not None:
-                return found
+    stats = {} if stats is None else stats
+    for size, n in estimated.items():
+        counts = stats[size] = {"estimated": n, "tested": 0, "cut": 0, "symmetric": 0}
+        plan = TablePlan(seq, size)
+        for regs, tables in _leaves(plan, sig, counts):
+            if _has_gap(plan, regs):
+                return _countermodel(plan, regs, _model(size, tables))
     return None

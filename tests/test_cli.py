@@ -188,6 +188,23 @@ def test_countermodel_not_found(capsys):
     assert out == "found=no\n"
 
 
+def test_countermodel_machine_prints_search_stats(capsys):
+    code, out, _ = run(capsys, "countermodel", "--sequent", "P(a) |- forall a. P(a)",
+                       "--max-size", "2", "--format", "machine")
+    assert code == 0
+    report, stats = out[: len(COUNTERMODEL_GOLDEN)], out[len(COUNTERMODEL_GOLDEN) :]
+    assert report == COUNTERMODEL_GOLDEN
+    assert stats == (
+        "stats.1.estimated=2\nstats.1.tested=2\nstats.1.cut=0\nstats.1.symmetric=0\n"
+        "stats.2.estimated=4\nstats.2.tested=2\nstats.2.cut=0\nstats.2.symmetric=0\n"
+    )
+    # the left glb is all false before any table is chosen
+    code, out, _ = run(capsys, "countermodel", "--sequent", "bot |- P(a)", "--max-size", "2",
+                       "--format", "machine")
+    assert code == 1
+    assert out.splitlines()[0] == "found=no" and "stats.2.tested=0\nstats.2.cut=4\n" in out
+
+
 def test_countermodel_binder_takes_the_lower_index(capsys):
     # x is named first and becomes a0, so y (a1) and the right's a0 differ
     code, out, _ = run(capsys, "countermodel", "--sequent", "forall x. P(y) |- P(a0)",
@@ -219,6 +236,11 @@ def test_usage_error_exits_2():
         ["check-nba", "--pool-size", "0"],
         ["check-nba", "--pool-size", "1"],
         ["bridge-test", "--max-carrier", "0"],
+        ["countermodel", "--sequent", "P(a) |- bot", "--max-size", "0"],
+        ["countermodel", "--sequent", "P(a) |- bot", "--max-size", "-1"],
+        ["check-axioms", "--trials", "-5"],
+        ["check-nba", "--trials", "0"],
+        ["bridge-test", "--trials", "-1"],
     ):
         with pytest.raises(SystemExit) as e:
             main(argv)

@@ -1,6 +1,7 @@
 """Denotations into lifted tables, the bridge back to ordinary evaluation,
 and the exhaustive countermodel search."""
 
+import itertools
 import random
 
 import pytest
@@ -37,7 +38,7 @@ from nomlog.interpret import (
 )
 from nomlog import interpret
 from nomlog.lifting import bot_lift, perm_act_lift, top_lift
-from nomlog.models import all_valuations, eval_formula
+from nomlog.models import OrdinaryModel, all_valuations, dump_model, eval_formula
 from nomlog.sequents import Sequent
 from nomlog.syntax import act_formula, fa_formula, used_signature
 
@@ -262,22 +263,95 @@ def test_display_names_follow_the_lifting_operations():
     assert [x.name for x in got.left.deps] == ["a"]
 
 
-def test_search_calls_refute_once_per_model_visited(monkeypatch):
-    real_refute = interpret.refute
-    visited = []
+REFERENCE = "forall a. P(a) & Q(a, f(a)) |- forall b. P(f(b))"
 
-    def counting_refute(model, seq):
-        visited.append(model)
-        return real_refute(model, seq)
 
-    monkeypatch.setattr(interpret, "refute", counting_refute)
-    valid = parse_sequent("forall a. P(a) & Q(a, f(a)) |- forall b. P(f(b))")
-    sig = used_signature((*valid.left, *valid.right))
-    assert countermodel_search(valid, 2) is None
-    assert len(visited) == sum(count_models(sig, n) for n in (1, 2))
-    visited.clear()
-    refutable = parse_sequent("P(a) |- forall a. P(a)")
-    found = countermodel_search(refutable, 2)
-    assert visited[-1] is found.model
-    # two one-point models, then P = {0, 1} and P = {0}
-    assert len(visited) == oracle_search(refutable, 2)[1] == 4
+@pytest.fixture
+def built(monkeypatch):
+    """The models the search builds."""
+    models = []
+
+    class Counted(OrdinaryModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            models.append(self)
+
+    monkeypatch.setattr(interpret, "OrdinaryModel", Counted)
+    return models
+
+
+def test_full_scan_accounts_for_every_model(built):
+    seq = parse_sequent(REFERENCE)
+    sig = used_signature((*seq.left, *seq.right))
+    stats = {}
+    assert countermodel_search(seq, 2, stats=stats) is None
+    assert built == []
+    assert list(stats) == [1, 2]
+    for size, counts in stats.items():
+        assert counts["estimated"] == count_models(sig, size)
+        assert counts["tested"] + counts["cut"] + counts["symmetric"] == counts["estimated"]
+    assert stats[2]["cut"] > 0 and stats[2]["symmetric"] > 0
+
+
+def test_search_stops_at_the_oracle_model(built):
+    seq = parse_sequent("P(a) |- forall a. P(a)")
+    stats = {}
+    found = countermodel_search(seq, 2, stats=stats)
+    assert built == [found.model]
+    want, visited = oracle_search(seq, 2)
+    assert found.model == want.model and found.report() == want.report()
+    # two one-point models, then P = {0, 1} and P = {0}; P = {1} is never reached
+    assert visited == 4
+    assert [counts["tested"] for counts in stats.values()] == [2, 2]
+
+
+@pytest.mark.parametrize("text, tested", [
+    ("Q(a, b) |- Q(a, b)", [2, 10, 104]),  # binary relations up to isomorphism
+    ("P(f(a)) |- P(f(a))", [2, 10, 44]),
+])
+def test_search_tests_one_model_per_isomorphism_class(text, tested):
+    stats = {}
+    assert countermodel_search(parse_sequent(text), 3, stats=stats) is None
+    assert [counts["tested"] for counts in stats.values()] == tested
+    assert all(counts["cut"] == 0 for counts in stats.values())
+
+
+def relabel(model, p):
+    """The model with each carrier element x renamed p[x]."""
+    def rename(args):
+        return tuple(p[x] for x in args)
+
+    funs = {n: {rename(k): p[v] for k, v in t.items()} for n, t in model.funs.items()}
+    preds = {n: {rename(k): v for k, v in t.items()} for n, t in model.preds.items()}
+    return OrdinaryModel(model.carrier, funs, preds)
+
+
+@given(st.sets(st.sampled_from(["c", "f", "P", "Q", "R"]), min_size=1))
+@settings(max_examples=25, deadline=None)
+def test_symmetry_keeps_exactly_the_least_models(names):
+    """phi |- phi, with phi reading every symbol, is never cut, so the walk
+    yields exactly the models symmetry keeps."""
+    terms = [t for name, t in (("c", "c"), ("f", "f(a)")) if name in names] or ["a"]
+    if names <= {"c", "f", "R"} and names & {"c", "f"}:
+        names = names | {"P"}  # a predicate must carry the terms
+    parts = [f"P({t})" for t in terms if "P" in names]
+    parts += [f"Q({terms[0]}, {terms[-1]})"] * ("Q" in names) + ["R"] * ("R" in names)
+    phi = " & ".join(parts)
+    seq = parse_sequent(f"{phi} |- {phi}")
+    sig = used_signature(seq.left)
+    for size in (1, 2, 3):
+        if count_models(sig, size) > 600:
+            break
+        models = list(enumerate_models(sig, size))
+        order = {dump_model(m): n for n, m in enumerate(models)}
+        least = {
+            dump_model(m) for n, m in enumerate(models)
+            if all(order[dump_model(relabel(m, p))] >= n
+                   for p in itertools.permutations(range(size)))
+        }
+        counts = dict.fromkeys(("tested", "cut", "symmetric"), 0)
+        walked = interpret._leaves(interpret.TablePlan(seq, size), sig, counts)
+        kept = [dump_model(interpret._model(size, tables)) for _, tables in walked]
+        assert kept == sorted(kept, key=order.get), phi
+        assert set(kept) == least, (phi, size)
+        assert counts == {"tested": len(least), "cut": 0, "symmetric": len(models) - len(least)}
