@@ -19,7 +19,7 @@ and instances that still violate one are counted as skips, never as passes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Sequence
 
 from .atoms import Atom, AtomSet, Carrier, fresh_atom, swap
@@ -49,7 +49,10 @@ class SuiteReport:
     failed: int = 0
     counterexample: str | None = None
 
-    def record(self, status: str, instance: Callable[[], str]) -> None:
+    def record(self, status: str, **instance) -> None:
+        """Count one law instance; the first failure keeps `instance` as
+        `k=v` pairs, the atom parameters a, b and the fresh set A by str and
+        every other value by repr."""
         if status == PASS:
             self.passed += 1
         elif status == SKIP:
@@ -57,7 +60,10 @@ class SuiteReport:
         else:
             self.failed += 1
             if self.counterexample is None:
-                self.counterexample = instance()
+                self.counterexample = " ".join(
+                    f"{k}={v}" if k in ("a", "b", "A") else f"{k}={v!r}"
+                    for k, v in instance.items()
+                )
 
     @property
     def ok(self) -> bool:
@@ -91,35 +97,30 @@ class CarrierHandle:
         return self.carrier.support_bound(x)
 
 
+@dataclass(eq=False)
 class SubstAlgebra(CarrierHandle):
     """Carrier handle plus a substitution action over a term-like algebra."""
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        carrier: Carrier,
-        sub: Callable,
-        generate: Callable[[random.Random], object],
-        pool: Sequence[Atom],
-        term_algebra: "TermlikeAlgebra | None" = None,
-    ) -> None:
-        self.name = name
-        self.carrier = carrier
-        self.sub = sub
-        self.generate = generate
-        self.pool = tuple(pool)
-        if term_algebra is None:
+    name: str
+    _: KW_ONLY
+    carrier: Carrier
+    sub: Callable
+    generate: Callable[[random.Random], object]
+    pool: Sequence[Atom]
+    term_algebra: "TermlikeAlgebra | None" = None
+
+    def __post_init__(self) -> None:
+        self.pool = tuple(self.pool)
+        if self.term_algebra is None:
             if not isinstance(self, TermlikeAlgebra):
-                raise ValueError(f"{name}: a plain substitution algebra needs a term algebra")
-            term_algebra = self
-        self.term_algebra = term_algebra
+                raise ValueError(f"{self.name}: a plain substitution algebra needs a term algebra")
+            self.term_algebra = self
 
 
+@dataclass(eq=False)
 class TermlikeAlgebra(SubstAlgebra):
-    def __init__(self, name: str, *, atm: Callable[[Atom], object], **kwargs) -> None:
-        super().__init__(name, **kwargs)
-        self.atm = atm
+    _: KW_ONLY
+    atm: Callable[[Atom], object]
 
 
 # -- individual axiom checks --------------------------------------------------
@@ -188,29 +189,22 @@ def run_axiom_suite(
         if termlike:
             a = rng.choice(alg.pool)
             u = terms.generate(rng)
-            reports["Suba"].record(
-                check_suba(alg, a, u), lambda a=a, u=u: f"a={a} u={u!r}"
-            )
+            reports["Suba"].record(check_suba(alg, a, u), a=a, u=u)
 
         x = alg.generate(rng)
         a = rng.choice(alg.pool)
-        reports["Subid"].record(check_subid(alg, x, a), lambda x=x, a=a: f"x={x!r} a={a}")
+        reports["Subid"].record(check_subid(alg, x, a), x=x, a=a)
 
         x = alg.generate(rng)
         a = _biased_atom(rng, alg.pool, alg.support_bound(x))
         u = terms.generate(rng)
-        reports["Subhash"].record(
-            check_subhash(alg, x, a, u), lambda x=x, a=a, u=u: f"x={x!r} a={a} u={u!r}"
-        )
+        reports["Subhash"].record(check_subhash(alg, x, a, u), x=x, a=a, u=u)
 
         x = alg.generate(rng)
         a = rng.choice(alg.pool)
         b = _biased_atom(rng, alg.pool, alg.support_bound(x))
         u = terms.generate(rng)
-        reports["Subalpha"].record(
-            check_subalpha(alg, x, a, b, u),
-            lambda x=x, a=a, b=b, u=u: f"x={x!r} a={a} b={b} u={u!r}",
-        )
+        reports["Subalpha"].record(check_subalpha(alg, x, a, b, u), x=x, a=a, b=b, u=u)
 
         x = alg.generate(rng)
         b = rng.choice(alg.pool)
@@ -218,8 +212,7 @@ def run_axiom_suite(
         a = _biased_atom(rng, alg.pool, terms.support_bound(v) | AtomSet.of(b))
         u = terms.generate(rng)
         reports["Subsigma"].record(
-            check_subsigma(alg, x, a, u, b, v),
-            lambda x=x, a=a, b=b, u=u, v=v: f"x={x!r} a={a} u={u!r} b={b} v={v!r}",
+            check_subsigma(alg, x, a, u, b, v), x=x, a=a, u=u, b=b, v=v
         )
 
     return list(reports.values())

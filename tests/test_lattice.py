@@ -9,7 +9,6 @@ from nomlog import (
     AtomSet,
     LiftedElem,
     NominalPoset,
-    NomlogError,
     lifted_nba,
     run_nba_suite,
     suite_ok,
@@ -115,10 +114,3 @@ def test_glb_pool_law_directly():
     assert check_all_glb_pool(H, IS_A, a, u_pool) == "pass"
     assert check_all_glb_pool(H, IS_A, b, u_pool) == "pass"
 
-
-def test_neg_requires_a_complement():
-    plain = NominalPoset(
-        "no-neg", carrier=H.carrier, le=H.le, fresh_glb=H.fresh_glb
-    )
-    with pytest.raises(NomlogError, match="complement"):
-        plain.neg(H.top())
