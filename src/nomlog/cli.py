@@ -67,10 +67,18 @@ def _suite_lines(reports, fmt: str, key: str) -> list[str]:
     return lines
 
 
+def _read(path: str) -> str:
+    """A file's text; one that is not UTF-8 is unusable input like any other."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise NomlogError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from e
+
+
 def _load_sig(path: str | None):
     if path is None:
         return None
-    return parse_signature(Path(path).read_text())
+    return parse_signature(_read(path))
 
 
 def cmd_parse(args) -> int:
@@ -95,7 +103,7 @@ def _node_count(d: Derivation) -> int:
 
 
 def cmd_check_proof(args) -> int:
-    text = Path(args.path).read_text()
+    text = _read(args.path)
     sig = _load_sig(args.sig)
     try:
         d = load_proof(text, sig)
@@ -153,7 +161,7 @@ def cmd_check_nba(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = load_model(Path(args.model).read_text())
+    model = load_model(_read(args.model))
     f = parse_formula(args.formula, model.signature())
     print(dump_lifted(denote_formula(model, f)))
     print(f"valid={'true' if is_valid(model, f) else 'false'}")

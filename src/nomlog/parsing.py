@@ -13,9 +13,10 @@ opening parenthesis (grouping or argument list) opens one, and the first
 token past the limit is reported as a ParseError at its byte offset.
 
 Identifiers of the shape aN always mean the atom with index N; any other
-bare name in term position is an atom that gets the least index not yet
-assigned to a named atom in the same context.  With no signature, former
-arities are inferred from first use and checked for consistency.
+bare name in term position is an atom that gets the least index its
+context has not handed out or read, every aN of the text included (see
+`AtomContext`).  With no signature, former arities are inferred from
+first use and checked for consistency.
 """
 
 from __future__ import annotations
@@ -34,20 +35,32 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class AtomContext:
-    """Maps surface names to atoms and remembers them for printing."""
+    """Maps surface names to atoms and remembers them for printing.  A
+    spelled name gets the least index not yet handed out or read; parsing
+    reserves a whole text's `aN` indices before naming anything in it."""
 
     def __init__(self) -> None:
         self._named: dict[str, Atom] = {}
+        self._taken: set[int] = set()
 
-    def atom(self, name: str) -> Atom:
+    def reserve(self, text: str) -> None:
+        """Take the index of every `aN` identifier in `text`."""
+        self._taken.update(int(m[1]) for m in map(_INDEXED.match, _IDENT.findall(text)) if m)
+
+    def atom(self, name: str, offset: int | None = None) -> Atom:
         m = _INDEXED.match(name)
         if m:
-            return Atom(int(m.group(1)))
+            i = int(m[1])
+            for spelled, a in self._named.items():
+                if a.index == i:
+                    raise ParseError(f"{name} is already the atom named {spelled!r}", offset)
+            self._taken.add(i)
+            return Atom(i)
         if name not in self._named:
-            used = {a.index for a in self._named.values()}
             i = 0
-            while i in used:
+            while i in self._taken:
                 i += 1
+            self._taken.add(i)
             self._named[name] = Atom(i, display=name)
         return self._named[name]
 
@@ -104,6 +117,7 @@ class _Parser:
         self.infer = (sig is None) if infer is None else infer
         self.sig = sig if sig is not None else Signature()
         self.ctx = ctx if ctx is not None else AtomContext()
+        self.ctx.reserve(text)
         self.depth = 0
 
     def peek(self) -> _Token:
@@ -119,9 +133,6 @@ class _Parser:
         if tok.kind != kind:
             raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.offset)
         return self.next()
-
-    def at_end(self) -> bool:
-        return self.peek().kind == "eof"
 
     def deeper(self, tok: _Token) -> None:
         """Open one nesting level at `tok`; the caller closes it afterwards."""
@@ -160,7 +171,7 @@ class _Parser:
             return App(tok.text, args)
         if not self.infer and self.sig.funs.get(tok.text) == 0:
             return App(tok.text, ())
-        return Var(self.ctx.atom(tok.text))
+        return Var(self.ctx.atom(tok.text, tok.offset))
 
     def args(self) -> tuple[Term, ...]:
         self.deeper(self.expect("("))
@@ -197,7 +208,7 @@ class _Parser:
             name = self.expect("ident")
             self.expect(".")
             # The binder is named before its body, so it takes the lower index.
-            atom = self.ctx.atom(name.text)
+            atom = self.ctx.atom(name.text, name.offset)
             body = self.formula()
             self.depth -= 1
             return All(atom, body)

@@ -33,6 +33,14 @@ def _lex_sexp(text: str) -> list[_STok]:
     toks: list[_STok] = []
     i = 0
     n = len(text)
+    mark = byte = 0
+
+    def at(k: int) -> int:  # the UTF-8 offset of text[k]; k never decreases
+        nonlocal mark, byte
+        byte += len(text[mark:k].encode("utf-8"))
+        mark = k
+        return byte
+
     while i < n:
         ch = text[i]
         if ch.isspace():
@@ -43,7 +51,7 @@ def _lex_sexp(text: str) -> list[_STok]:
                 i += 1
             continue
         if ch in "()":
-            toks.append(_STok(ch, ch, i))
+            toks.append(_STok(ch, ch, at(i)))
             i += 1
             continue
         if ch == '"':
@@ -55,16 +63,16 @@ def _lex_sexp(text: str) -> list[_STok]:
                 out.append(text[j])
                 j += 1
             if j >= n:
-                raise ParseError("unterminated string in proof file", i)
-            toks.append(_STok("str", "".join(out), i))
+                raise ParseError("unterminated string in proof file", at(i))
+            toks.append(_STok("str", "".join(out), at(i)))
             i = j + 1
             continue
         j = i
         while j < n and not text[j].isspace() and text[j] not in '()"':
             j += 1
-        toks.append(_STok("word", text[i:j], i))
+        toks.append(_STok("word", text[i:j], at(i)))
         i = j
-    toks.append(_STok("eof", "", n))
+    toks.append(_STok("eof", "", at(n)))
     return toks
 
 
@@ -93,6 +101,7 @@ def load_proof(
     infer = sig is None
     sig = sig if sig is not None else Signature()
     ctx = ctx if ctx is not None else AtomContext()
+    ctx.reserve(text)
     toks = _lex_sexp(text)
     tree, i = _parse_sexp(toks, 0)
     if toks[i].kind != "eof":
@@ -127,7 +136,7 @@ def load_proof(
                 elif head == "witness":
                     witness = parse_term(arg, sig, ctx, infer=infer)
                 elif head == "eigen":
-                    eigen = ctx.atom(arg)
+                    eigen = ctx.atom(arg, item[1].offset)
                 else:
                     raise ProofFormatError(f"unknown item {head!r} under {rule}", path)
             except ParseError as exc:

@@ -206,11 +206,16 @@ def test_countermodel_machine_prints_search_stats(capsys):
 
 
 def test_countermodel_binder_takes_the_lower_index(capsys):
-    # x is named first and becomes a0, so y (a1) and the right's a0 differ
-    code, out, _ = run(capsys, "countermodel", "--sequent", "forall x. P(y) |- P(a0)",
+    # a1 is reserved before any name is given: the binder x is named first
+    # and takes a0, and y takes a2, so the valuation lists a1 before y
+    code, out, _ = run(capsys, "countermodel", "--sequent", "forall x. P(y) |- P(a1)",
                        "--max-size", "2")
     assert code == 0
-    assert out.startswith("found=yes\n") and "valuation: a0=1, y=0\n" in out
+    assert out.startswith("found=yes\n") and "valuation: a1=1, y=0\n" in out
+    # the binder b cannot take a0's index, so the right side is P(a0) itself
+    code, out, _ = run(capsys, "countermodel", "--sequent", "P(a0) |- forall b. P(a0)",
+                       "--max-size", "2")
+    assert (code, out) == (1, "found=no\n")
 
 
 def test_countermodel_budget(capsys):
@@ -245,6 +250,19 @@ def test_usage_error_exits_2():
         with pytest.raises(SystemExit) as e:
             main(argv)
         assert e.value.code == 2, argv
+
+
+def test_undecodable_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("; caf\xe9\n".encode("latin-1"))
+    for argv in (
+        ["check-proof", str(path)],
+        ["eval", "--model", str(path), "--formula", "P"],
+        ["parse", "--sig", str(path), "P(a)"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {path} is not UTF-8 text: invalid continuation byte at byte 5\n"
 
 
 LIMIT = 256  # nomlog.parsing.MAX_NESTING

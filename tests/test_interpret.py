@@ -9,10 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from nomlog import (
     All,
+    And,
+    Atom,
     Countermodel,
     LiftedElem,
+    Neg,
+    Pred,
     SearchBudgetError,
     Valuation,
+    Var,
     alpha_eq,
     check_derivation,
     countermodel_search,
@@ -255,9 +260,16 @@ def test_search_matches_the_oracle_loop(seq):
 
 
 def test_display_names_follow_the_lifting_operations():
-    # `a` and `a0` are one atom with two display names; the left glb takes
-    # its name from `P(a)`, the first part whose table depends on it.
-    seq = parse_sequent("~(P(a0) & ~P(a0)) & P(a) |- forall a. P(a)")
+    # A library caller can give one atom two display names, here a0 and a;
+    # the left glb takes its name from `P(a)`, the first part whose table
+    # depends on it.  The parser reserves a0, so its `a` is another atom.
+    text = "~(P(a0) & ~P(a0)) & P(a) |- forall a. P(a)"
+    a0, a = Atom(0), Atom(0, display="a")
+    seq = Sequent.of(
+        [And(Neg(And(Pred("P", (Var(a0),)), Neg(Pred("P", (Var(a0),))))), Pred("P", (Var(a),)))],
+        [All(a, Pred("P", (Var(a),)))],
+    )
+    assert str(seq) == text and parse_sequent(text) != seq
     got = countermodel_search(seq, 2)
     assert got.report() == oracle_search(seq, 2)[0].report()
     assert [x.name for x in got.left.deps] == ["a"]

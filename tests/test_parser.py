@@ -6,6 +6,7 @@ from nomlog import (
     And,
     App,
     Atom,
+    Formula,
     AtomContext,
     Neg,
     ParseError,
@@ -18,6 +19,7 @@ from nomlog import (
     parse_term,
 )
 from nomlog.parsing import print_signature
+from nomlog.syntax import alpha_key, fa_formula
 
 from .strategies import formulas, terms
 
@@ -148,3 +150,43 @@ def test_binder_is_named_before_its_body():
     with pytest.raises(ParseError):
         parse_formula("forall x P(x)", ctx=ctx)
     assert ctx.atom("z") == Atom(0)
+
+
+def test_indexed_names_are_reserved_before_any_name():
+    ctx = AtomContext()
+    # a0 comes after x in the text, yet x does not take its index
+    assert parse_formula("Q(x, a0)", ctx=ctx) == Pred("Q", (Var(b), Var(a)))
+    assert parse_formula("forall y. P(a0)", ctx=ctx) == All(c, Pred("P", (Var(a),)))
+    # a later text's aN whose index a spelled name holds is an error there
+    with pytest.raises(ParseError, match="already the atom named 'x'") as e:
+        parse_formula("P(a0) & P(a1)", ctx=ctx)
+    assert e.value.offset == len("P(a0) & P(")
+
+
+def _spelled(f: Formula) -> Formula:
+    """`f` with the atoms a2 and a3 displayed as x and y."""
+
+    def atom(x: Atom) -> Atom:
+        return Atom(x.index, display={2: "x", 3: "y"}.get(x.index))
+
+    def term(t):
+        return Var(atom(t.atom)) if isinstance(t, Var) else App(t.former, tuple(map(term, t.args)))
+
+    if isinstance(f, Pred):
+        return Pred(f.former, tuple(map(term, f.args)))
+    if isinstance(f, And):
+        return And(_spelled(f.left), _spelled(f.right))
+    if isinstance(f, Neg):
+        return Neg(_spelled(f.body))
+    if isinstance(f, All):
+        return All(atom(f.atom), _spelled(f.body))
+    return f
+
+
+@given(formulas())
+def test_printed_formula_reparses_to_the_same_formula(f):
+    ctx = AtomContext()
+    g = parse_formula(str(_spelled(f)), ctx=ctx)
+    # x and y get indices no aN of the text has, so nothing is captured
+    assert len(fa_formula(g)) == len(fa_formula(f))
+    assert alpha_key(parse_formula(str(g), ctx=ctx)) == alpha_key(g)

@@ -49,6 +49,15 @@ def test_every_rule_appears_in_corpus():
     assert used == {"Ax", "BotL", "AndL", "AndR", "NegL", "NegR", "AllL", "AllR"}
 
 
+def test_eigen_atom_is_reserved_before_any_name():
+    # x is spelled before the eigen atom a0, yet does not take its index
+    text = """
+    (AllR (concl "P(x), bot |- forall b. P(b)") (principal "forall b. P(b)") (eigen a0)
+      (premise (BotL (concl "P(x), bot |- P(a0)"))))
+    """
+    assert str(check_derivation(load_proof(text))) == "P(x), bot |- forall b. P(b)"
+
+
 def test_inferred_conclusions():
     text = """
     ; conjunction commutes, with no inner (concl ...) spelled out
@@ -87,6 +96,16 @@ def test_trailing_input_rejected():
 def test_unbalanced_parens():
     with pytest.raises(ParseError, match="paren"):
         load_proof('(NegR (concl "|- ~bot")')
+
+
+def test_offsets_count_bytes_past_non_ascii_text():
+    # each é is two bytes, so the unbalanced parenthesis starts at byte 11
+    with pytest.raises(ParseError, match="unbalanced parenthesis") as e:
+        load_proof('; é é é\n(Ax (concl "P(a) |- P(a)")')
+    assert e.value.offset == 11
+    with pytest.raises(ParseError, match="unterminated string") as e:
+        load_proof('(Ax (concl "é") "P(a)')
+    assert e.value.offset == len('(Ax (concl "é") '.encode()) == 17
 
 
 def test_wrong_premise_count():
