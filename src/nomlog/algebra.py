@@ -178,12 +178,8 @@ def run_axiom_suite(
     rng = random.Random(seed)
     terms = alg.term_algebra
     termlike = isinstance(alg, TermlikeAlgebra)
-    reports = {
-        name: SuiteReport(name)
-        for name in (
-            (["Suba"] if termlike else []) + ["Subid", "Subhash", "Subalpha", "Subsigma"]
-        )
-    }
+    names = ["Suba"] * termlike + ["Subid", "Subhash", "Subalpha", "Subsigma"]
+    reports = {name: SuiteReport(name) for name in names}
 
     for _ in range(trials):
         if termlike:
@@ -211,9 +207,7 @@ def run_axiom_suite(
         v = terms.generate(rng)
         a = _biased_atom(rng, alg.pool, terms.support_bound(v) | AtomSet.of(b))
         u = terms.generate(rng)
-        reports["Subsigma"].record(
-            check_subsigma(alg, x, a, u, b, v), x=x, a=a, u=u, b=b, v=v
-        )
+        reports["Subsigma"].record(check_subsigma(alg, x, a, u, b, v), x=x, a=a, u=u, b=b, v=v)
 
     return list(reports.values())
 

@@ -219,10 +219,8 @@ def run_nba_suite(
                  if a not in avoid)
         )
 
-    names = [
-        "CompatGlb", "CompatNeg", "SubAll", "LeqMeet", "SubMeet", "SubBot",
-        "SubMono", "SubMonoFresh", "AllInst", "AllIntro", "AllGlbPool",
-    ]
+    names = ["CompatGlb", "CompatNeg", "SubAll", "LeqMeet", "SubMeet", "SubBot", "SubMono",
+             "SubMonoFresh", "AllInst", "AllIntro", "AllGlbPool"]
     reports = {name: SuiteReport(name) for name in names}
 
     for _ in range(trials):
@@ -266,9 +264,7 @@ def run_nba_suite(
         x = h.meet(gen(avoid=AtomSet.of(a)), gen(avoid=AtomSet.of(a)))
         y = h.join(x, h.generate(rng))
         u = terms.generate(rng)
-        reports["SubMonoFresh"].record(
-            check_sub_mono_fresh(h, x, y, a, u), x=x, y=y, a=a, u=u
-        )
+        reports["SubMonoFresh"].record(check_sub_mono_fresh(h, x, y, a, u), x=x, y=y, a=a, u=u)
 
         x = h.generate(rng)
         a = rng.choice(pool)
