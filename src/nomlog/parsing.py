@@ -31,6 +31,7 @@ from .syntax import All, And, App, Bot, Formula, Neg, Pred, Signature, Term, Var
 
 MAX_NESTING = 256
 _INDEXED = re.compile(r"^a(\d+)$")
+_INDEXED_IN = re.compile(r"\ba(\d+)\b")  # the aN identifiers of a text
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -45,7 +46,7 @@ class AtomContext:
 
     def reserve(self, text: str) -> None:
         """Take the index of every `aN` identifier in `text`."""
-        self._taken.update(int(m[1]) for m in map(_INDEXED.match, _IDENT.findall(text)) if m)
+        self._taken.update(map(int, _INDEXED_IN.findall(text)))
 
     def atom(self, name: str, offset: int | None = None) -> Atom:
         m = _INDEXED.match(name)

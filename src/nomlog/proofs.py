@@ -26,21 +26,18 @@ from .syntax import Signature
 class _STok:
     kind: str  # ( ) str word
     text: str
-    offset: int
+    offset: int  # a character index; errors report it as a byte offset
+
+
+def _byte(text: str, offset: int) -> int:
+    """The UTF-8 byte offset of text[offset]."""
+    return len(text[:offset].encode("utf-8"))
 
 
 def _lex_sexp(text: str) -> list[_STok]:
     toks: list[_STok] = []
     i = 0
     n = len(text)
-    mark = byte = 0
-
-    def at(k: int) -> int:  # the UTF-8 offset of text[k]; k never decreases
-        nonlocal mark, byte
-        byte += len(text[mark:k].encode("utf-8"))
-        mark = k
-        return byte
-
     while i < n:
         ch = text[i]
         if ch.isspace():
@@ -51,7 +48,7 @@ def _lex_sexp(text: str) -> list[_STok]:
                 i += 1
             continue
         if ch in "()":
-            toks.append(_STok(ch, ch, at(i)))
+            toks.append(_STok(ch, ch, i))
             i += 1
             continue
         if ch == '"':
@@ -63,35 +60,37 @@ def _lex_sexp(text: str) -> list[_STok]:
                 out.append(text[j])
                 j += 1
             if j >= n:
-                raise ParseError("unterminated string in proof file", at(i))
-            toks.append(_STok("str", "".join(out), at(i)))
+                raise ParseError("unterminated string in proof file", _byte(text, i))
+            toks.append(_STok("str", "".join(out), i))
             i = j + 1
             continue
         j = i
         while j < n and not text[j].isspace() and text[j] not in '()"':
             j += 1
-        toks.append(_STok("word", text[i:j], at(i)))
+        toks.append(_STok("word", text[i:j], i))
         i = j
-    toks.append(_STok("eof", "", at(n)))
+    toks.append(_STok("eof", "", n))
     return toks
 
 
-def _parse_sexp(toks: list[_STok], i: int, depth: int = 0):
+def _parse_sexp(text: str, toks: list[_STok], i: int, depth: int = 0):
     tok = toks[i]
     if tok.kind == "(":
         if depth == MAX_NESTING:
-            raise ParseError(f"proof nested deeper than {MAX_NESTING} parentheses", tok.offset)
+            raise ParseError(
+                f"proof nested deeper than {MAX_NESTING} parentheses", _byte(text, tok.offset)
+            )
         items = []
         i += 1
         while toks[i].kind != ")":
             if toks[i].kind == "eof":
-                raise ParseError("unbalanced parenthesis in proof file", tok.offset)
-            item, i = _parse_sexp(toks, i, depth + 1)
+                raise ParseError("unbalanced parenthesis in proof file", _byte(text, tok.offset))
+            item, i = _parse_sexp(text, toks, i, depth + 1)
             items.append(item)
         return items, i + 1
     if tok.kind in ("word", "str"):
         return tok, i + 1
-    raise ParseError(f"unexpected token {tok.text!r} in proof file", tok.offset)
+    raise ParseError(f"unexpected token {tok.text!r} in proof file", _byte(text, tok.offset))
 
 
 def load_proof(
@@ -103,9 +102,9 @@ def load_proof(
     ctx = ctx if ctx is not None else AtomContext()
     ctx.reserve(text)
     toks = _lex_sexp(text)
-    tree, i = _parse_sexp(toks, 0)
+    tree, i = _parse_sexp(text, toks, 0)
     if toks[i].kind != "eof":
-        raise ParseError("trailing input after proof", toks[i].offset)
+        raise ParseError("trailing input after proof", _byte(text, toks[i].offset))
 
     def build(node, path: str) -> Derivation:
         if not isinstance(node, list) or not node or not isinstance(node[0], _STok):
@@ -136,7 +135,7 @@ def load_proof(
                 elif head == "witness":
                     witness = parse_term(arg, sig, ctx, infer=infer)
                 elif head == "eigen":
-                    eigen = ctx.atom(arg, item[1].offset)
+                    eigen = ctx.atom(arg, _byte(text, item[1].offset))
                 else:
                     raise ProofFormatError(f"unknown item {head!r} under {rule}", path)
             except ParseError as exc:
