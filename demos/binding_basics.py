@@ -16,6 +16,7 @@ from nomlog import (
     swap,
     act_formula,
     alpha_eq,
+    ascending,
     fa_formula,
 )
 
@@ -30,8 +31,9 @@ f = parse_formula("forall a. P(a) & Q(a, b)", ctx=ctx)
 print("formula:       ", f)
 print("swap a and b:  ", act_formula(swap(a, b), f))
 
-# Only b is free in f: the quantifier binds a.
-print("free atoms:    ", fa_formula(f))
+# Only b is free in f: the quantifier binds a.  Free atoms come as a
+# frozenset; ascending lists them by index.
+print("free atoms:    ", "{" + ", ".join(map(str, ascending(fa_formula(f)))) + "}")
 
 # Two formulas that differ only in the bound name are alpha-equivalent.
 g = parse_formula("forall c. P(c) & Q(c, b)", ctx=ctx)

@@ -2,8 +2,8 @@
 
 The pieces, roughly bottom-up:
 
-- `atoms`: atoms, finite permutations, support, and the swap test for
-  freshness;
+- `atoms`: atoms, finite permutations, the swap test for freshness, and
+  support as a frozenset of atoms, which `ascending` puts in order;
 - `syntax`: terms and formulas, alpha-equivalence as a derived relation,
   capture-avoiding substitution;
 - `parsing`: a small concrete syntax for terms, formulas, sequents, and
@@ -19,7 +19,7 @@ The pieces, roughly bottom-up:
 - `cli`: the `nomlog` command.
 """
 
-from .atoms import Atom, AtomSet, Carrier, Perm, fresh_atom, is_fresh_by_swap, swap
+from .atoms import Atom, Carrier, Perm, ascending, fresh_atom, is_fresh_by_swap, swap
 from .errors import (
     ArityError,
     DerivationError,
@@ -104,7 +104,6 @@ __all__ = [
     "ArityError",
     "Atom",
     "AtomContext",
-    "AtomSet",
     "Bot",
     "Carrier",
     "Countermodel",
@@ -134,6 +133,7 @@ __all__ = [
     "act_formula",
     "act_term",
     "alpha_eq",
+    "ascending",
     "atm_lift",
     "atoms_algebra",
     "check_derivation",

@@ -22,7 +22,7 @@ import random
 from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Sequence
 
-from .atoms import Atom, AtomSet, Carrier, fresh_atom, swap
+from .atoms import Atom, Carrier, ascending, fresh_atom, swap
 from .gen import rand_formula, rand_lifted_bool, rand_lifted_elem, rand_term
 from .lifting import atm_lift, lifted_carrier, sub_lift
 from .syntax import (
@@ -51,8 +51,8 @@ class SuiteReport:
 
     def record(self, status: str, **instance) -> None:
         """Count one law instance; the first failure keeps `instance` as
-        `k=v` pairs, the atom parameters a, b and the fresh set A by str and
-        every other value by repr."""
+        `k=v` pairs, the atom parameters a, b by str, the fresh set A as
+        `{a0, a1}` and every other value by repr."""
         if status == PASS:
             self.passed += 1
         elif status == SKIP:
@@ -60,6 +60,8 @@ class SuiteReport:
         else:
             self.failed += 1
             if self.counterexample is None:
+                if "A" in instance:
+                    instance["A"] = "{" + ", ".join(map(str, ascending(instance["A"]))) + "}"
                 self.counterexample = " ".join(
                     f"{k}={v}" if k in ("a", "b", "A") else f"{k}={v!r}"
                     for k, v in instance.items()
@@ -90,10 +92,10 @@ class CarrierHandle:
     def is_fresh(self, a: Atom, x) -> bool:
         return self.carrier.is_fresh(a, x)
 
-    def support(self, x) -> AtomSet:
+    def support(self, x) -> frozenset[Atom]:
         return self.carrier.support(x)
 
-    def support_bound(self, x) -> AtomSet:
+    def support_bound(self, x) -> frozenset[Atom]:
         return self.carrier.support_bound(x)
 
 
@@ -160,7 +162,7 @@ def check_subsigma(alg: SubstAlgebra, x, a: Atom, u, b: Atom, v) -> str:
 # -- the suite ----------------------------------------------------------------
 
 
-def _biased_atom(rng: random.Random, pool: tuple[Atom, ...], avoid: AtomSet) -> Atom:
+def _biased_atom(rng: random.Random, pool: tuple[Atom, ...], avoid: frozenset[Atom]) -> Atom:
     """Mostly an atom fresh for `avoid`, occasionally an arbitrary pool atom
     so the skip path stays exercised."""
     if rng.random() < 0.2:
@@ -168,7 +170,7 @@ def _biased_atom(rng: random.Random, pool: tuple[Atom, ...], avoid: AtomSet) -> 
     outside = [a for a in pool if a not in avoid]
     if outside and rng.random() < 0.75:
         return rng.choice(outside)
-    return fresh_atom(avoid | AtomSet(pool))
+    return fresh_atom(avoid.union(pool))
 
 
 def run_axiom_suite(
@@ -205,7 +207,7 @@ def run_axiom_suite(
         x = alg.generate(rng)
         b = rng.choice(alg.pool)
         v = terms.generate(rng)
-        a = _biased_atom(rng, alg.pool, terms.support_bound(v) | AtomSet.of(b))
+        a = _biased_atom(rng, alg.pool, terms.support_bound(v) | {b})
         u = terms.generate(rng)
         reports["Subsigma"].record(check_subsigma(alg, x, a, u, b, v), x=x, a=a, u=u, b=b, v=v)
 

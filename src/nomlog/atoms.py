@@ -5,12 +5,16 @@ Values never carry their support explicitly.  Each kind of value (a
 finite overapproximation of the atoms a value can touch; freshness of an
 atom is then decided by a single swap against a fresh atom, and minimal
 support by folding that test over the bound.
+
+A set of atoms is a `frozenset[Atom]`, keeping one atom per index (the
+first added).  `ascending` is the one place atom order is decided, wherever
+order reaches output or a random draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generic, Iterable, Iterator, TypeVar
+from typing import Callable, Generic, Iterable, TypeVar
 
 T = TypeVar("T")
 
@@ -34,61 +38,13 @@ class Atom:
         return self.name
 
 
-class AtomSet:
-    """Immutable finite set of atoms, iterated in ascending index order."""
-
-    __slots__ = ("_atoms", "_indices")
-
-    def __init__(self, atoms: Iterable[Atom] = ()) -> None:
-        by_index: dict[int, Atom] = {}
-        for a in atoms:
-            by_index.setdefault(a.index, a)
-        self._atoms: tuple[Atom, ...] = tuple(by_index[i] for i in sorted(by_index))
-        self._indices: frozenset[int] = frozenset(by_index)
-
-    @classmethod
-    def of(cls, *atoms: Atom) -> "AtomSet":
-        return cls(atoms)
-
-    def __contains__(self, a: Atom) -> bool:
-        return a.index in self._indices
-
-    def __iter__(self) -> Iterator[Atom]:
-        return iter(self._atoms)
-
-    def __len__(self) -> int:
-        return len(self._atoms)
-
-    def __bool__(self) -> bool:
-        return bool(self._atoms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AtomSet):
-            return NotImplemented
-        return self._indices == other._indices
-
-    def __hash__(self) -> int:
-        return hash(self._indices)
-
-    def __or__(self, other: Iterable[Atom]) -> "AtomSet":
-        return AtomSet((*self._atoms, *other))
-
-    def __and__(self, other: Iterable[Atom]) -> "AtomSet":
-        keep = other._indices if isinstance(other, AtomSet) else {a.index for a in other}
-        return AtomSet(a for a in self._atoms if a.index in keep)
-
-    def __sub__(self, other: Iterable[Atom]) -> "AtomSet":
-        drop = other._indices if isinstance(other, AtomSet) else {a.index for a in other}
-        return AtomSet(a for a in self._atoms if a.index not in drop)
-
-    def isdisjoint(self, other: "AtomSet") -> bool:
-        return self._indices.isdisjoint(other._indices)
-
-    def issubset(self, other: "AtomSet") -> bool:
-        return self._indices <= other._indices
-
-    def __repr__(self) -> str:
-        return "{" + ", ".join(a.name for a in self._atoms) + "}"
+def ascending(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
+    """The atoms by ascending index, keeping the first atom object seen for
+    each index (which decides the display name when an index has two)."""
+    first: dict[int, Atom] = {}
+    for a in atoms:
+        first.setdefault(a.index, a)
+    return tuple(first[i] for i in sorted(first))
 
 
 def fresh_atom(avoid: Iterable[Atom]) -> Atom:
@@ -143,8 +99,8 @@ class Perm:
     def inverse(self) -> "Perm":
         return Perm.from_map({b: a for a, b in self.pairs})
 
-    def moved(self) -> AtomSet:
-        return AtomSet(a for a, _ in self.pairs)
+    def moved(self) -> frozenset[Atom]:
+        return frozenset(a for a, _ in self.pairs)
 
     def is_identity(self) -> bool:
         return not self.pairs
@@ -166,14 +122,14 @@ def is_fresh_by_swap(
     *,
     act: Callable[[Perm, T], T],
     eq: Callable[[T, T], bool],
-    bound: AtomSet,
+    bound: frozenset[Atom],
 ) -> bool:
     """Decide a # x with one swap against a fresh atom.
 
     `bound` must overapproximate the support of x; then a is fresh for x
     exactly when swapping it with a brand-new atom leaves x fixed.
     """
-    b = fresh_atom(bound | AtomSet.of(a))
+    b = fresh_atom(bound | {a})
     return eq(act(swap(b, a), x), x)
 
 
@@ -184,19 +140,19 @@ class Carrier(Generic[T]):
     name: str
     act: Callable[[Perm, T], T]
     eq: Callable[[T, T], bool]
-    support_bound: Callable[[T], AtomSet]
+    support_bound: Callable[[T], frozenset[Atom]]
 
     def is_fresh(self, a: Atom, x: T) -> bool:
         return is_fresh_by_swap(a, x, act=self.act, eq=self.eq, bound=self.support_bound(x))
 
-    def support(self, x: T) -> AtomSet:
+    def support(self, x: T) -> frozenset[Atom]:
         """Minimal support: the bound filtered by per-atom swap tests."""
-        return AtomSet(a for a in self.support_bound(x) if not self.is_fresh(a, x))
+        return frozenset(a for a in self.support_bound(x) if not self.is_fresh(a, x))
 
 
 ATOM_CARRIER: Carrier[Atom] = Carrier(
     name="atoms",
     act=lambda p, a: p(a),
     eq=lambda x, y: x == y,
-    support_bound=lambda a: AtomSet.of(a),
+    support_bound=lambda a: frozenset((a,)),
 )

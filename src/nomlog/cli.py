@@ -28,7 +28,6 @@ from .algebra import (
     suite_ok,
     term_algebra,
 )
-from .atoms import AtomSet
 from .errors import DerivationError, NomlogError, ProofFormatError, SearchBudgetError
 from .gen import (
     atom_pool,
@@ -189,12 +188,12 @@ def cmd_bridge_test(args) -> int:
     for _ in range(args.trials):
         model = rand_model(rng, sig, rng.randint(1, args.max_carrier))
         f = rand_formula(rng, sig, pool)
-        v = rand_valuation(rng, fa_formula(f) | AtomSet(pool), model.carrier)
+        v = rand_valuation(rng, fa_formula(f).union(pool), model.carrier)
         if not check_formula_bridge(model, v, f):
             failures += 1
             first = first or f"formula {f} in {model!r} at {v}"
         t = rand_term(rng, sig, pool)
-        vt = rand_valuation(rng, fa_term(t) | AtomSet(pool), model.carrier)
+        vt = rand_valuation(rng, fa_term(t).union(pool), model.carrier)
         if not check_term_bridge(model, vt, t):
             failures += 1
             first = first or f"term {t} in {model!r} at {vt}"

@@ -6,7 +6,7 @@ import itertools
 import random
 from typing import Sequence
 
-from .atoms import Atom, AtomSet, Perm
+from .atoms import Atom, Perm, ascending
 from .lifting import LiftedElem, canonicalize
 from .models import OrdinaryModel, Valuation
 from .syntax import All, And, App, Bot, Formula, Neg, Pred, Signature, Term, Var
@@ -29,7 +29,7 @@ def rand_atom(rng: random.Random, pool: Sequence[Atom]) -> Atom:
 
 def rand_subset(rng: random.Random, pool: Sequence[Atom], max_size: int) -> tuple[Atom, ...]:
     size = rng.randint(0, min(max_size, len(pool)))
-    return tuple(AtomSet(rng.sample(tuple(pool), size)))
+    return ascending(rng.sample(tuple(pool), size))
 
 
 def rand_perm(rng: random.Random, pool: Sequence[Atom]) -> Perm:
@@ -123,4 +123,4 @@ def rand_model(rng: random.Random, sig: Signature, size: int) -> OrdinaryModel:
 def rand_valuation(
     rng: random.Random, atoms: Sequence[Atom], carrier: Sequence[int]
 ) -> Valuation:
-    return Valuation.of({a: rng.choice(tuple(carrier)) for a in AtomSet(atoms)})
+    return Valuation.of({a: rng.choice(tuple(carrier)) for a in ascending(atoms)})

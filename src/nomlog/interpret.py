@@ -42,9 +42,9 @@ from dataclasses import dataclass
 from operator import gt
 from typing import Iterable, Iterator
 
-from .atoms import Atom
+from .atoms import Atom, ascending
 from .errors import SearchBudgetError
-from .lifting import LiftedElem, _gather, _union, canonicalize, dump_lifted, eval_at, first_gap
+from .lifting import LiftedElem, _gather, canonicalize, dump_lifted, eval_at, first_gap
 from .lifting import apply_cells, fold_cells, meet_blocks, negate_cells, sub_lift
 from .models import OrdinaryModel, Valuation, dump_model, eval_formula, eval_term
 from .sequents import Sequent, fa_sequent
@@ -224,7 +224,7 @@ def _canonical_outputs(plan: TablePlan, regs: list[tuple], carrier: tuple) -> li
     elems: dict[int, LiftedElem] = {}
 
     def settle(reg: int, atoms: Iterable[Atom]) -> None:
-        named = {a.index: a for a in _union(atoms)}
+        named = {a.index: a for a in ascending(atoms)}
         deps = tuple(named.get(i) or Atom(i) for i in plan.deps[reg])
         elems[reg] = canonicalize(LiftedElem(carrier, deps, regs[reg]))
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from operator import not_
 from typing import Iterable, Sequence
 
-from .atoms import Atom, AtomSet, Carrier, Perm
+from .atoms import Atom, Carrier, Perm, ascending
 from .models import OrdinaryModel, Valuation
 
 
@@ -71,15 +71,6 @@ def _spread(x: LiftedElem, dst: Sequence[Atom], src: Sequence[Atom] | None = Non
     src = x.deps if src is None else src
     where = _gather(len(x.carrier), tuple(a.index for a in src), tuple(a.index for a in dst))
     return tuple(map(x.values.__getitem__, where))
-
-
-def _union(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
-    """The atoms by ascending index, keeping the first atom object seen for
-    each index (which decides the display name when an index has two)."""
-    first: dict[int, Atom] = {}
-    for a in atoms:
-        first.setdefault(a.index, a)
-    return tuple(first[i] for i in sorted(first))
 
 
 # -- table kernels ------------------------------------------------------------
@@ -160,7 +151,7 @@ def perm_act_lift(p: Perm, f: LiftedElem) -> LiftedElem:
     if not f.deps:
         return f
     images = tuple(p(a) for a in f.deps)
-    new_deps = tuple(sorted(images, key=lambda a: a.index))
+    new_deps = ascending(images)
     # A bijective renaming of coordinates cannot create spurious ones.
     return LiftedElem(f.carrier, new_deps, _spread(f, new_deps, src=images))
 
@@ -172,7 +163,7 @@ def sub_lift(f: LiftedElem, a: Atom, g: LiftedElem) -> LiftedElem:
     if a not in f.deps:
         return f
     k = len(f.carrier)
-    deps = _union((*(b for b in f.deps if b != a), *g.deps))
+    deps = ascending((*(b for b in f.deps if b != a), *g.deps))
     # f is read with a renamed to _NO_ATOM varying fastest, so each cell over
     # deps owns k positions, one per value of a; the rename keeps a apart
     # from g's own a when a is in g.deps.
@@ -188,7 +179,7 @@ def first_gap(f: LiftedElem, g: LiftedElem) -> Valuation | None:
     boolean table f holds and g does not; None when f is below g."""
     if f.carrier != g.carrier:
         raise ValueError("comparison across different carriers")
-    deps = _union((*f.deps, *g.deps))
+    deps = ascending((*f.deps, *g.deps))
     rows = itertools.product(f.carrier, repeat=len(deps))
     for row, x, y in zip(rows, _spread(f, deps), _spread(g, deps)):
         if x and not y:
@@ -217,7 +208,7 @@ def fresh_glb_lift(
     if not xs:
         return top_lift(carrier)
     fresh = {a.index for a in fresh}
-    used = _union(a for x in xs for a in x.deps)
+    used = ascending(a for x in xs for a in x.deps)
     deps = tuple(a for a in used if a.index not in fresh)
     bound = tuple(a for a in used if a.index in fresh)
     # With the bound atoms varying fastest, each cell over deps is the meet
@@ -240,7 +231,7 @@ def lift_pred(model: OrdinaryModel, name: str, args: Sequence[LiftedElem]) -> Li
 def _apply_table(carrier: tuple[int, ...], table, args: Sequence[LiftedElem]) -> LiftedElem:
     if any(x.carrier != carrier for x in args):
         raise ValueError("application across different carriers")
-    deps = _union(a for x in args for a in x.deps)
+    deps = ascending(a for x in args for a in x.deps)
     values = apply_cells([_spread(x, deps) for x in args], table)
     return canonicalize(LiftedElem(carrier, deps, values))
 
@@ -260,13 +251,15 @@ def enumerate_lifted(
     carrier: Sequence[int], pool: Sequence[Atom], values: Sequence
 ) -> list[LiftedElem]:
     """All canonical elements with deps inside `pool` and entries from
-    `values`, in a deterministic order."""
+    `values`, in a deterministic order.  Each candidate table is a distinct
+    function, so there are len(values) ** len(carrier) ** len(pool) of
+    them; past 4,096 this raises OverflowError before building any."""
     carrier = tuple(carrier)
-    pool = tuple(AtomSet(pool))
+    pool = ascending(pool)
     seen: set[LiftedElem] = set()
     out: list[LiftedElem] = []
     size = len(carrier) ** len(pool)
-    if len(tuple(values)) ** size > 1_000_000:
+    if len(tuple(values)) ** size > 4_096:
         raise OverflowError(
             f"{len(tuple(values))}**{size} candidate tables is too many to enumerate"
         )
@@ -285,5 +278,5 @@ def lifted_carrier(carrier: Sequence[int]) -> Carrier[LiftedElem]:
         name=f"lifted[{len(carrier)}]",
         act=perm_act_lift,
         eq=lambda x, y: x == y,
-        support_bound=lambda f: AtomSet(f.deps),
+        support_bound=lambda f: frozenset(f.deps),
     )

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .atoms import Atom, AtomSet, Perm
+from .atoms import Atom, Perm, ascending
 from .errors import ArityError, ModelFormatError, UnboundAtomError, UnknownSymbolError
 from .syntax import All, And, App, Bot, Formula, Neg, Pred, Signature, Term, Var
 
@@ -154,7 +154,7 @@ def eval_formula(model: OrdinaryModel, v: Valuation, f: Formula) -> bool:
 
 def all_valuations(atoms: Iterable[Atom], carrier: tuple[int, ...]) -> Iterator[Valuation]:
     """Every valuation on the given atoms, in ascending lexicographic order."""
-    atoms = tuple(AtomSet(atoms))
+    atoms = ascending(atoms)
     for values in itertools.product(carrier, repeat=len(atoms)):
         yield Valuation.of(zip(atoms, values))
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .atoms import Atom, AtomSet, Perm
+from .atoms import Atom, Perm
 from .errors import DerivationError
 from .models import OrdinaryModel, Valuation, eval_formula
 from .syntax import (
@@ -80,8 +80,8 @@ class Sequent:
         return f"{left} |- {right}".strip()
 
 
-def fa_sequent(s: Sequent) -> AtomSet:
-    return AtomSet(a for f in (*s.left, *s.right) for a in fa_formula(f))
+def fa_sequent(s: Sequent) -> frozenset[Atom]:
+    return frozenset().union(*map(fa_formula, (*s.left, *s.right)))
 
 
 def act_sequent(p: Perm, s: Sequent) -> Sequent:
@@ -131,7 +131,7 @@ def _needs_witness(d: Derivation, context) -> str | None:
 def _fresh_eigen(d: Derivation, context) -> str | None:
     if d.eigen is None:
         return "needs an eigen atom"
-    if context is not None and d.eigen in AtomSet(a for f in context for a in fa_formula(f)):
+    if context is not None and any(d.eigen in fa_formula(f) for f in context):
         return f"eigen atom {d.eigen} occurs free in the conclusion context"
     return None
 

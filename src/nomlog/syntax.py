@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .atoms import Atom, AtomSet, Carrier, Perm, fresh_atom, swap
+from .atoms import Atom, Carrier, Perm, fresh_atom, swap
 from .errors import ArityError
 
 
@@ -92,31 +92,29 @@ class All(Formula):
     body: Formula
 
 
-def fa_term(r: Term) -> AtomSet:
+def fa_term(r: Term) -> frozenset[Atom]:
     """Atoms occurring in a term (terms bind nothing, so all are free)."""
     match r:
         case Var(a):
-            return AtomSet.of(a)
+            return frozenset((a,))
         case App(_, args):
-            # A list, not a generator that AtomSet consumes one frame deeper:
-            # terms nest up to the parser's limit.
-            return AtomSet([a for s in args for a in fa_term(s)])
+            return frozenset().union(*map(fa_term, args))
     raise TypeError(f"not a term: {r!r}")
 
 
-def fa_formula(f: Formula) -> AtomSet:
+def fa_formula(f: Formula) -> frozenset[Atom]:
     """Free atoms of a formula; the quantifier binds its atom."""
     match f:
         case Bot():
-            return AtomSet()
+            return frozenset()
         case Pred(_, args):
-            return AtomSet(a for s in args for a in fa_term(s))
+            return frozenset().union(*map(fa_term, args))
         case And(l, r):
             return fa_formula(l) | fa_formula(r)
         case Neg(b):
             return fa_formula(b)
         case All(a, b):
-            return fa_formula(b) - AtomSet.of(a)
+            return fa_formula(b) - {a}
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -195,7 +193,7 @@ def alpha_eq(f: Formula, g: Formula) -> bool:
         case (Neg(fb), Neg(gb)):
             return alpha_eq(fb, gb)
         case (All(a, fb), All(b, gb)):
-            c = fresh_atom(fa_formula(fb) | fa_formula(gb) | AtomSet.of(a, b))
+            c = fresh_atom(fa_formula(fb) | fa_formula(gb) | {a, b})
             return alpha_eq(act_formula(swap(c, a), fb), act_formula(swap(c, b), gb))
     return False
 
@@ -256,7 +254,7 @@ def subst_formula(f: Formula, a: Atom, s: Term) -> Formula:
             if b == a:
                 return f
             if b in fa_term(s):
-                b2 = fresh_atom(fa_formula(body) | fa_term(s) | AtomSet.of(a, b))
+                b2 = fresh_atom(fa_formula(body) | fa_term(s) | {a, b})
                 body = act_formula(swap(b, b2), body)
                 return All(b2, subst_formula(body, a, s))
             return All(b, subst_formula(body, a, s))

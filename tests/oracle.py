@@ -5,15 +5,15 @@ agree with: every node is denoted by the lifting operation for its
 connective, on the canonical tables of its parts.
 
 The operations that combine tables are written out here as direct loops over
-`AtomSet`s, independently of the table kernels that `nomlog.lifting` and the
-compiled plans share, so a fault in a kernel cannot hide on both sides of a
-comparison.  Only the realignment (`_spread`, `_gather`) and `canonicalize`
-come from `nomlog.lifting`.
+frozensets of atoms, put in order with `sorted` rather than with
+`nomlog.atoms.ascending`, independently of the table kernels that
+`nomlog.lifting` and the compiled plans share, so a fault in a kernel cannot
+hide on both sides of a comparison.  Only the realignment (`_spread`,
+`_gather`) and `canonicalize` come from `nomlog.lifting`.
 """
 
 import itertools
 
-from nomlog.atoms import AtomSet
 from nomlog.errors import ArityError, UnknownSymbolError
 from nomlog.interpret import Countermodel
 from nomlog.lifting import (
@@ -38,7 +38,7 @@ def sub_lift(f, a, g):
     if a not in f.deps:
         return f
     k = len(f.carrier)
-    deps = tuple((AtomSet(f.deps) - AtomSet.of(a)) | AtomSet(g.deps))
+    deps = tuple(sorted((frozenset(f.deps) - {a}) | frozenset(g.deps)))
     src = tuple(_NO_ATOM if b == a else b.index for b in f.deps)
     where = _gather(k, src, (*(b.index for b in deps), _NO_ATOM))
     elem_pos = {x: i for i, x in enumerate(f.carrier)}
@@ -49,7 +49,7 @@ def sub_lift(f, a, g):
 def first_gap(f, g):
     if f.carrier != g.carrier:
         raise ValueError("comparison across different carriers")
-    deps = tuple(AtomSet((*f.deps, *g.deps)))
+    deps = tuple(sorted(frozenset((*f.deps, *g.deps))))
     rows = itertools.product(f.carrier, repeat=len(deps))
     for row, x, y in zip(rows, _spread(f, deps), _spread(g, deps)):
         if x and not y:
@@ -65,10 +65,10 @@ def fresh_glb_lift(carrier, fresh, xs):
     carrier = tuple(carrier)
     if any(x.carrier != carrier for x in xs):
         raise ValueError("meet across different carriers")
-    fresh = AtomSet(fresh)
-    used = AtomSet(a for x in xs for a in x.deps)
-    deps = tuple(used - fresh)
-    bound = tuple(a for a in used if a in fresh)
+    fresh = frozenset(fresh)
+    used = frozenset(a for x in xs for a in x.deps)
+    deps = tuple(sorted(used - fresh))
+    bound = tuple(sorted(a for a in used if a in fresh))
     block = len(carrier) ** len(bound)
     spreads = [_spread(x, (*deps, *bound)) for x in xs]
     values = tuple(
@@ -101,7 +101,7 @@ def lift_pred(model, name, args):
 def _apply_table(carrier, table, args):
     if any(x.carrier != carrier for x in args):
         raise ValueError("application across different carriers")
-    deps = tuple(AtomSet(a for x in args for a in x.deps))
+    deps = tuple(sorted(frozenset(a for x in args for a in x.deps)))
     keys = zip(*(_spread(x, deps) for x in args)) if args else [()]
     return canonicalize(LiftedElem(carrier, deps, tuple(table[key] for key in keys)))
 
@@ -127,18 +127,18 @@ def denote_formula(model: OrdinaryModel, f: Formula) -> LiftedElem:
             return lift_pred(model, name, [denote_term(model, s) for s in args])
         case And(l, r):
             return fresh_glb_lift(
-                carrier, AtomSet(), (denote_formula(model, l), denote_formula(model, r))
+                carrier, frozenset(), (denote_formula(model, l), denote_formula(model, r))
             )
         case Neg(b):
             return neg_lift(denote_formula(model, b))
         case All(a, b):
-            return fresh_glb_lift(carrier, AtomSet.of(a), (denote_formula(model, b),))
+            return fresh_glb_lift(carrier, frozenset((a,)), (denote_formula(model, b),))
     raise TypeError(f"not a formula: {f!r}")
 
 
 def denote_glb(model: OrdinaryModel, formulas) -> LiftedElem:
     return fresh_glb_lift(
-        model.carrier, AtomSet(), tuple(denote_formula(model, f) for f in formulas)
+        model.carrier, frozenset(), tuple(denote_formula(model, f) for f in formulas)
     )
 
 
@@ -146,7 +146,7 @@ def denote_lub(model: OrdinaryModel, formulas) -> LiftedElem:
     return neg_lift(
         fresh_glb_lift(
             model.carrier,
-            AtomSet(),
+            frozenset(),
             tuple(neg_lift(denote_formula(model, f)) for f in formulas),
         )
     )

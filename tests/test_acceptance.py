@@ -11,7 +11,6 @@ from pathlib import Path
 from nomlog import (
     All,
     Atom,
-    AtomSet,
     Pred,
     Signature,
     Var,
@@ -71,7 +70,7 @@ def _done(n: int, t0: float, budget: float, detail: str) -> None:
 
 def test_criterion_1_syntax_goldens():
     t0 = time.perf_counter()
-    assert ATOM_CARRIER.support(a) == AtomSet.of(a)
+    assert ATOM_CARRIER.support(a) == frozenset((a,))
     pa = Pred("P", (Var(a),))
     pb = Pred("P", (Var(b),))
     assert alpha_eq(All(a, pa), All(b, pb))
@@ -82,7 +81,7 @@ def test_criterion_1_syntax_goldens():
     assert isinstance(renamed, All) and renamed.atom != b
     fresh = renamed.atom
     assert alpha_eq(renamed, All(fresh, pb))
-    assert fa_formula(renamed) == AtomSet.of(b)
+    assert fa_formula(renamed) == frozenset((b,))
     _done(1, t0, 1.0, "fa, alpha-equivalence, and substitution match the worked examples")
 
 
@@ -128,7 +127,7 @@ def test_criterion_4_exhaustive_glb_oracle():
     assert len(elems) == 16
     xss = [()] + [(x,) for x in elems] + [(x, y) for x in elems for y in elems]
     checked = 0
-    for A in (AtomSet(), AtomSet.of(a), AtomSet.of(b), AtomSet.of(a, b)):
+    for A in (frozenset(), frozenset((a,)), frozenset((b,)), frozenset((a, b))):
         for xs in xss:
             got = fresh_glb_lift(two, A, xs)
             bounds = [
@@ -161,7 +160,7 @@ def test_criterion_6_bridge_to_ordinary_evaluation():
         f = rand_formula(rng, SIG, POOL, depth=3)
         if i % 5 == 0:  # force genuine quantifier nesting
             f = All(a, All(b, f))
-        v = rand_valuation(rng, fa_formula(f) | AtomSet(POOL), model.carrier)
+        v = rand_valuation(rng, fa_formula(f) | frozenset(POOL), model.carrier)
         assert check_formula_bridge(model, v, f), f"f={f} v={v} m={model!r}"
     _done(6, t0, 30.0, "500 random (model, valuation, formula) triples agree")
 
@@ -207,16 +206,16 @@ def test_criterion_9_support_laws():
     instances = [
         ("terms", term_algebra(SIG, POOL).carrier,
          lambda rng: rand_term(rng, SIG, POOL, depth=3),
-         lambda x: AtomSet(fa_term(x))),
+         fa_term),
         ("formulas", formula_algebra(SIG, POOL).carrier,
          lambda rng: rand_formula(rng, SIG, POOL, depth=3),
-         lambda x: AtomSet(fa_formula(x))),
+         fa_formula),
     ]
     for size in (2, 3):
         alg = lifted_term_algebra(range(size), POOL)
         instances.append(
             (alg.name, alg.carrier, lambda rng, alg=alg: alg.generate(rng),
-             lambda x: AtomSet(x.deps))
+             lambda x: frozenset(x.deps))
         )
     for name, h, gen, truth in instances:
         rng = random.Random(0)
@@ -226,7 +225,7 @@ def test_criterion_9_support_laws():
             assert supp == truth(x), f"{name}: support of {x!r}"
             p = rand_perm(rng, POOL)
             # the support of the renamed element is the renamed support
-            assert h.support(h.act(p, x)) == AtomSet(p(c) for c in supp)
+            assert h.support(h.act(p, x)) == frozenset(p(c) for c in supp)
             # permutations fixing the support pointwise fix the element
             outside = tuple(c for c in POOL if c not in supp)
             tau = rand_perm(rng, outside)
@@ -235,7 +234,7 @@ def test_criterion_9_support_laws():
             assert h.eq(h.act(p @ tau, x), h.act(p, x))
             # freshness is decided by one swap with a fresh partner
             c = rng.choice(POOL)
-            d = fresh_atom(h.support_bound(x) | AtomSet.of(c))
+            d = fresh_atom(h.support_bound(x) | frozenset((c,)))
             expected = c not in supp
             assert h.is_fresh(c, x) == expected
             assert h.eq(h.act(swap(d, c), x), x) == expected

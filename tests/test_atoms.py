@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from nomlog import Atom, AtomSet, Perm, fresh_atom, swap
-from nomlog.atoms import ATOM_CARRIER
+from nomlog import Atom, Perm, fresh_atom, swap
+from nomlog.atoms import ATOM_CARRIER, ascending
 
 from .strategies import atoms, perms
 
@@ -15,22 +16,30 @@ def test_atom_display():
     assert Atom(3, "x") == Atom(3, "y")  # display is not identity
 
 
-def test_atomset_basics():
-    s = AtomSet.of(b, a, b)
-    assert list(s) == [a, b]
-    assert a in s and c not in s
-    assert s | AtomSet.of(c) == AtomSet.of(a, b, c)
-    assert s - [a] == AtomSet.of(b)
-    assert (s & [b, c]) == AtomSet.of(b)
-    assert AtomSet().isdisjoint(s)
-    assert AtomSet.of(a).issubset(s)
-    assert bool(AtomSet()) is False
+def test_frozenset_keeps_one_atom_per_index_first_seen():
+    x, y = Atom(0, "x"), Atom(0, "y")
+    s = frozenset((x, b, y))
+    assert len(s) == 2 and s == frozenset((a, b))
+    assert next(e for e in s if e == a).display == "x"
+    assert next(e for e in s | {y} if e == a).display == "x"
+    assert next(e for e in frozenset((y,)) | s if e == a).display == "y"
+    assert s - {Atom(0, "z")} == frozenset((b,))
+
+
+@given(st.lists(st.builds(Atom, st.integers(0, 20), st.sampled_from((None, "x", "y", "z")))))
+def test_ascending_is_first_atom_per_index_by_index(xs):
+    first = {}
+    for x in xs:
+        first.setdefault(x.index, x)
+    expected = [first[i] for i in sorted(first)]
+    got = ascending(xs)
+    assert [(g.index, g.display) for g in got] == [(e.index, e.display) for e in expected]
 
 
 def test_fresh_atom_takes_least_unused():
-    assert fresh_atom(AtomSet()) == a
-    assert fresh_atom(AtomSet.of(a, b)) == c
-    assert fresh_atom(AtomSet.of(a, c)) == b
+    assert fresh_atom(frozenset()) == a
+    assert fresh_atom(frozenset((a, b))) == c
+    assert fresh_atom(frozenset((a, c))) == b
 
 
 def test_swap_and_identity():
@@ -62,14 +71,14 @@ def test_perm_moved_is_minimal(p):
 
 
 def test_atom_carrier_support():
-    assert ATOM_CARRIER.support(a) == AtomSet.of(a)
+    assert ATOM_CARRIER.support(a) == frozenset((a,))
     assert ATOM_CARRIER.is_fresh(b, a)
     assert not ATOM_CARRIER.is_fresh(a, a)
 
 
 @given(perms(), atoms)
 def test_atom_carrier_equivariance(p, x):
-    assert ATOM_CARRIER.support(p(x)) == AtomSet.of(p(x))
+    assert ATOM_CARRIER.support(p(x)) == frozenset((p(x),))
 
 
 def test_perm_str_shows_cycles_or_pairs():

@@ -270,6 +270,13 @@ def test_enumerate_lifted():
         enumerate_lifted((0, 1, 2), (a, b, c), (False, True))
 
 
+def test_enumerate_lifted_caps_at_4096_tables():
+    # 2 carrier points over 2 atoms give 4 cells: 8**4 = 4,096 tables, 9**4 too many.
+    assert len(enumerate_lifted((0, 1), (a, b), range(8))) == 4_096
+    with pytest.raises(OverflowError):
+        enumerate_lifted((0, 1), (a, b), range(9))
+
+
 def test_lifted_carrier_support():
     h = lifted_carrier(TWO)
     f = LiftedElem(TWO, (a, b), (True, False, False, True))

@@ -1,6 +1,9 @@
 """Finite first-order models: construction, the text format, and ordinary
 (valuation-based) evaluation."""
 
+import itertools
+import random
+
 import pytest
 
 from nomlog import (
@@ -20,6 +23,7 @@ from nomlog import (
     parse_term,
 )
 from nomlog.atoms import swap
+from nomlog.gen import atom_pool, rand_subset, rand_valuation
 from nomlog.models import all_valuations
 
 a, b = Atom(0, "a"), Atom(1, "b")
@@ -154,3 +158,18 @@ def test_all_valuations_order():
     vs = list(all_valuations((a, b), (0, 1)))
     assert len(vs) == 4
     assert [(v.lookup(a), v.lookup(b)) for v in vs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_draws_and_valuations_take_atoms_by_ascending_index():
+    """Given atoms in any order, the generators draw per atom, and the
+    valuations vary, by ascending index; a set of 8 atoms iterates in
+    another order, so these values change if any of them iterate a set."""
+    pool = atom_pool(8)[::-1]
+    rng = random.Random(3)
+    subsets = [[x.index for x in rand_subset(rng, pool, 8)] for _ in range(4)]
+    assert subsets == [[0, 3, 5], [1, 2, 3, 4, 5, 6, 7], [0, 1, 3], [0, 1, 2, 3, 4, 5, 6]]
+    rng = random.Random(3)
+    values = [[x for _, x in rand_valuation(rng, pool, (0, 1, 2)).assignments] for _ in range(2)]
+    assert values == [[0, 2, 2, 0, 1, 2, 1, 2], [2, 0, 2, 0, 1, 1, 2, 0]]
+    vs = [[x for _, x in v.assignments] for v in itertools.islice(all_valuations(pool, (0, 1)), 3)]
+    assert vs == [[0] * 8, [0] * 7 + [1], [0] * 6 + [1, 0]]

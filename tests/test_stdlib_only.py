@@ -1,0 +1,26 @@
+"""The package imports nothing outside the standard library and itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).parent.parent / "src" / "nomlog"
+
+
+def test_every_absolute_import_is_stdlib_or_nomlog():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    outside = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "nomlog" and top not in sys.stdlib_module_names:
+                    outside.append(f"{path.name}: {name}")
+    assert outside == []
