@@ -78,7 +78,6 @@ from .algebra import (
     TermlikeAlgebra,
     atoms_algebra,
     formula_algebra,
-    lifted_bool_algebra,
     lifted_term_algebra,
     run_axiom_suite,
     suite_ok,
@@ -156,7 +155,6 @@ __all__ = [
     "is_fresh_by_swap",
     "is_valid",
     "le_lift",
-    "lifted_bool_algebra",
     "lifted_nba",
     "lifted_term_algebra",
     "load_model",
@@ -175,6 +173,7 @@ __all__ = [
     "subst_formula",
     "subst_term",
     "suite_ok",
+    "swap",
     "term_algebra",
     "used_signature",
 ]

@@ -22,8 +22,8 @@ import random
 from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Sequence
 
-from .atoms import Atom, Carrier, ascending, fresh_atom, swap
-from .gen import rand_formula, rand_lifted_bool, rand_lifted_elem, rand_term
+from .atoms import ATOM_CARRIER, Atom, Carrier, ascending, fresh_atom, swap
+from .gen import rand_formula, rand_lifted_elem, rand_term
 from .lifting import atm_lift, lifted_carrier, sub_lift
 from .syntax import (
     Signature,
@@ -76,10 +76,25 @@ def suite_ok(reports: Sequence[SuiteReport]) -> bool:
     return all(r.ok for r in reports)
 
 
-class CarrierHandle:
-    """Forwards the nominal operations to the carrier it holds."""
+@dataclass(eq=False)
+class SubstAlgebra:
+    """A carrier, whose nominal operations it forwards, with `sub(x, a, u)` over
+    a term-like algebra, and a generator and atom pool for the suite."""
 
+    name: str
+    _: KW_ONLY
     carrier: Carrier
+    sub: Callable
+    generate: Callable[[random.Random], object]
+    pool: Sequence[Atom]
+    term_algebra: "TermlikeAlgebra | None" = None
+
+    def __post_init__(self) -> None:
+        self.pool = tuple(self.pool)
+        if self.term_algebra is None:
+            if not isinstance(self, TermlikeAlgebra):
+                raise ValueError(f"{self.name}: a plain substitution algebra needs a term algebra")
+            self.term_algebra = self
 
     @property
     def eq(self):
@@ -97,26 +112,6 @@ class CarrierHandle:
 
     def support_bound(self, x) -> frozenset[Atom]:
         return self.carrier.support_bound(x)
-
-
-@dataclass(eq=False)
-class SubstAlgebra(CarrierHandle):
-    """Carrier handle plus a substitution action over a term-like algebra."""
-
-    name: str
-    _: KW_ONLY
-    carrier: Carrier
-    sub: Callable
-    generate: Callable[[random.Random], object]
-    pool: Sequence[Atom]
-    term_algebra: "TermlikeAlgebra | None" = None
-
-    def __post_init__(self) -> None:
-        self.pool = tuple(self.pool)
-        if self.term_algebra is None:
-            if not isinstance(self, TermlikeAlgebra):
-                raise ValueError(f"{self.name}: a plain substitution algebra needs a term algebra")
-            self.term_algebra = self
 
 
 @dataclass(eq=False)
@@ -219,8 +214,6 @@ def run_axiom_suite(
 
 def atoms_algebra(pool: Sequence[Atom]) -> TermlikeAlgebra:
     """Atoms substitute into themselves: a[a:=u] = u, b[a:=u] = b."""
-    from .atoms import ATOM_CARRIER
-
     pool = tuple(pool)
     return TermlikeAlgebra(
         "atoms",
@@ -276,16 +269,4 @@ def lifted_term_algebra(carrier: Sequence[int], pool: Sequence[Atom]) -> Termlik
         generate=lambda rng: rand_lifted_elem(rng, carrier, pool),
         pool=tuple(pool),
         atm=lambda a: atm_lift(carrier, a),
-    )
-
-
-def lifted_bool_algebra(carrier: Sequence[int], pool: Sequence[Atom]) -> SubstAlgebra:
-    carrier = tuple(carrier)
-    return SubstAlgebra(
-        f"lifted-bools[{len(carrier)}]",
-        carrier=lifted_carrier(carrier),
-        sub=sub_lift,
-        generate=lambda rng: rand_lifted_bool(rng, carrier, pool),
-        pool=tuple(pool),
-        term_algebra=lifted_term_algebra(carrier, pool),
     )

@@ -22,7 +22,6 @@ from .algebra import (
     SubstAlgebra,
     atoms_algebra,
     formula_algebra,
-    lifted_bool_algebra,
     lifted_term_algebra,
     run_axiom_suite,
     suite_ok,
@@ -140,7 +139,7 @@ def _pick_algebra(args) -> SubstAlgebra:
         case "lifted":
             return lifted_term_algebra(carrier, pool)
         case "lifted-bool":
-            return lifted_bool_algebra(carrier, pool)
+            return lifted_nba(carrier, pool)
     raise AssertionError(args.algebra)
 
 
@@ -274,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--sequent", required=True)
     p.add_argument("--max-size", type=_at_least(1), default=3)
-    p.add_argument("--budget", type=int, default=10_000_000,
+    p.add_argument("--budget", type=_at_least(1), default=10_000_000,
                    help="refuse searches needing more table checks than this")
     p.set_defaults(run=cmd_countermodel)
 

@@ -19,8 +19,8 @@ def default_signature() -> Signature:
     )
 
 
-def atom_pool(size: int, start: int = 0) -> tuple[Atom, ...]:
-    return tuple(Atom(i) for i in range(start, start + size))
+def atom_pool(size: int) -> tuple[Atom, ...]:
+    return tuple(Atom(i) for i in range(size))
 
 
 def rand_atom(rng: random.Random, pool: Sequence[Atom]) -> Atom:

@@ -18,12 +18,11 @@ from .algebra import (
     FAIL,
     PASS,
     SKIP,
-    CarrierHandle,
+    SubstAlgebra,
     SuiteReport,
-    TermlikeAlgebra,
     lifted_term_algebra,
 )
-from .atoms import Atom, Carrier
+from .atoms import Atom
 from .gen import rand_lifted_bool, rand_subset
 from .lifting import (
     enumerate_lifted,
@@ -36,21 +35,15 @@ from .lifting import (
 
 
 @dataclass(eq=False)
-class NominalPoset(CarrierHandle):
-    """Ordered carrier handle with a complement, a substitution over a
-    term-like algebra, and generators for the suite."""
+class NominalPoset(SubstAlgebra):
+    """A substitution algebra ordered by `le` with the freshening glb and the
+    complement `neg`; `term_enum` lists term elements for the bounded glb law."""
 
-    name: str
     _: KW_ONLY
-    carrier: Carrier
     le: Callable
     fresh_glb: Callable
-    complement: Callable
-    sub: Callable
-    term_algebra: TermlikeAlgebra
+    neg: Callable
     term_enum: Callable[[Sequence[Atom]], Sequence]
-    generate: Callable[[random.Random], object]
-    pool: Sequence[Atom]
 
     # -- derived operations ------------------------------------------------
 
@@ -62,9 +55,6 @@ class NominalPoset(CarrierHandle):
 
     def uquant(self, a: Atom, x):
         return self.fresh_glb(frozenset((a,)), (x,))
-
-    def neg(self, x):
-        return self.complement(x)
 
     def bot(self):
         return self.neg(self.top())
@@ -84,12 +74,12 @@ def lifted_nba(carrier: Sequence[int], pool: Sequence[Atom]) -> NominalPoset:
         carrier=lifted_carrier(c),
         le=le_lift,
         fresh_glb=lambda A, X: fresh_glb_lift(c, A, X),
-        complement=neg_lift,
+        neg=neg_lift,
         sub=sub_lift,
         term_algebra=lifted_term_algebra(c, pool),
         term_enum=lambda atoms: enumerate_lifted(c, atoms, c),
         generate=lambda rng: rand_lifted_bool(rng, c, pool),
-        pool=tuple(pool),
+        pool=pool,
     )
 
 

@@ -23,7 +23,6 @@ from nomlog import (
     formula_algebra,
     fresh_atom,
     le_lift,
-    lifted_bool_algebra,
     lifted_nba,
     lifted_term_algebra,
     load_proof,
@@ -90,7 +89,7 @@ def test_criterion_2_substitution_axiom_suites():
     algebras = [atoms_algebra(POOL), term_algebra(SIG, POOL), formula_algebra(SIG, POOL)]
     for size in (1, 2, 3):
         algebras.append(lifted_term_algebra(range(size), POOL))
-        algebras.append(lifted_bool_algebra(range(size), POOL))
+        algebras.append(lifted_nba(range(size), POOL))
     for alg in algebras:
         reports = run_axiom_suite(alg, trials=1000, seed=0)
         for r in reports:

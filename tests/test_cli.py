@@ -246,6 +246,7 @@ def test_usage_error_exits_2():
         ["check-axioms", "--trials", "-5"],
         ["check-nba", "--trials", "0"],
         ["bridge-test", "--trials", "-1"],
+        ["countermodel", "--sequent", "P |- P", "--budget", "0"],
     ):
         with pytest.raises(SystemExit) as e:
             main(argv)

@@ -2,12 +2,14 @@
 exhaustive oracle for the freshened greatest lower bound on a small instance."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from nomlog import (
     LiftedElem,
     NominalPoset,
+    SubstAlgebra,
     lifted_nba,
     run_nba_suite,
     suite_ok,
@@ -28,6 +30,12 @@ H = lifted_nba(TWO, POOL)
 
 IS_A = LiftedElem(TWO, (a,), (False, True))
 IS_B = LiftedElem(TWO, (b,), (False, True))
+
+
+def test_a_nominal_poset_is_a_substitution_algebra():
+    assert issubclass(NominalPoset, SubstAlgebra)
+    # it declares only its own fields and inherits the rest
+    assert set(NominalPoset.__annotations__) == {"_", "le", "fresh_glb", "neg", "term_enum"}
 
 
 def test_derived_operations():
@@ -90,17 +98,10 @@ def test_suite_is_green_on_lifted_instances(size):
 
 def test_suite_catches_a_glb_that_ignores_freshening():
     broken = lifted_nba(TWO, POOL)
-    bad = NominalPoset(
-        "broken",
-        carrier=broken.carrier,
-        le=broken.le,
+    bad = replace(
+        broken,
+        name="broken",
         fresh_glb=lambda A, X: fresh_glb_lift(TWO, (), X),  # drops the A
-        complement=broken.complement,
-        sub=broken.sub,
-        term_algebra=broken.term_algebra,
-        term_enum=broken.term_enum,
-        generate=broken.generate,
-        pool=broken.pool,
     )
     reports = {r.name: r for r in run_nba_suite(bad, trials=200, seed=0)}
     offenders = [n for n in ("AllInst", "AllIntro", "AllGlbPool") if reports[n].failed]

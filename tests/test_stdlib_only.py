@@ -1,8 +1,12 @@
-"""The package imports nothing outside the standard library and itself."""
+"""The package imports nothing outside the standard library and itself,
+and `__all__` lists exactly the public names it imports."""
 
 import ast
 import sys
 from pathlib import Path
+from types import ModuleType
+
+import nomlog
 
 SRC = Path(__file__).parent.parent / "src" / "nomlog"
 
@@ -24,3 +28,12 @@ def test_every_absolute_import_is_stdlib_or_nomlog():
                 if top != "nomlog" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}: {name}")
     assert outside == []
+
+
+def test_all_lists_every_public_name_but_the_submodules():
+    public = {
+        name for name, value in vars(nomlog).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert set(nomlog.__all__) == public
+    assert len(nomlog.__all__) == len(public)

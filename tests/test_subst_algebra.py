@@ -2,6 +2,10 @@
 plus a deliberately capture-permitting substitution that the suite must
 catch."""
 
+from dataclasses import replace
+
+import pytest
+
 from nomlog import (
     All,
     Formula,
@@ -9,15 +13,18 @@ from nomlog import (
     Pred,
     And,
     Bot,
+    SubstAlgebra,
+    TermlikeAlgebra,
     atoms_algebra,
     formula_algebra,
-    lifted_bool_algebra,
+    lifted_nba,
     lifted_term_algebra,
     run_axiom_suite,
     subst_term,
     suite_ok,
     term_algebra,
 )
+from nomlog.atoms import ATOM_CARRIER
 from nomlog.gen import atom_pool, default_signature
 
 POOL = atom_pool(4)
@@ -54,7 +61,33 @@ def test_lifted_algebras_pass():
     for size in (1, 2, 3):
         carrier = range(size)
         assert suite_ok(run_axiom_suite(lifted_term_algebra(carrier, POOL), trials=200, seed=1))
-        assert suite_ok(run_axiom_suite(lifted_bool_algebra(carrier, POOL), trials=200, seed=1))
+        assert suite_ok(run_axiom_suite(lifted_nba(carrier, POOL), trials=200, seed=1))
+
+
+def test_an_algebra_that_is_not_term_like_needs_a_term_algebra():
+    with pytest.raises(ValueError, match="needs a term algebra"):
+        SubstAlgebra(
+            "plain",
+            carrier=ATOM_CARRIER,
+            sub=lambda x, a, u: x,
+            generate=lambda rng: rng.choice(POOL),
+            pool=POOL,
+        )
+    with pytest.raises(ValueError, match="needs a term algebra"):
+        replace(lifted_nba(range(2), POOL), term_algebra=None)
+
+
+def test_a_term_like_algebra_is_its_own_term_algebra():
+    alg = TermlikeAlgebra(
+        "atoms",
+        carrier=ATOM_CARRIER,
+        sub=lambda x, a, u: u if x == a else x,
+        generate=lambda rng: rng.choice(POOL),
+        pool=list(POOL),
+        atm=lambda a: a,
+    )
+    assert alg.term_algebra is alg
+    assert alg.pool == POOL
 
 
 def capture_subst(f: Formula, a, u):
