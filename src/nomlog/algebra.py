@@ -226,26 +226,22 @@ def atoms_algebra(pool: Sequence[Atom]) -> TermlikeAlgebra:
 
 
 def term_algebra(sig: Signature, pool: Sequence[Atom]) -> TermlikeAlgebra:
+    pool = tuple(pool)
     return TermlikeAlgebra(
         "terms",
         carrier=TERM_CARRIER,
         sub=subst_term,
         generate=lambda rng: rand_term(rng, sig, pool),
-        pool=tuple(pool),
+        pool=pool,
         atm=Var,
     )
 
 
-def formula_algebra(
-    sig: Signature,
-    pool: Sequence[Atom],
-    subst: Callable = subst_formula,
-) -> SubstAlgebra:
+def formula_algebra(sig: Signature, pool: Sequence[Atom]) -> SubstAlgebra:
     """Formulas up to alpha over the term algebra.  Not term-like: there is
-    no atom embedding into formulas.  `subst` is a parameter so that a broken
-    substitution can be put under the same suite."""
+    no atom embedding into formulas."""
+    pool = tuple(pool)
     carrier = Carrier(
-        name="formulas-alpha",
         act=act_formula,
         eq=lambda x, y: alpha_key(x) == alpha_key(y),
         support_bound=fa_formula,
@@ -253,20 +249,21 @@ def formula_algebra(
     return SubstAlgebra(
         "formulas",
         carrier=carrier,
-        sub=subst,
+        sub=subst_formula,
         generate=lambda rng: rand_formula(rng, sig, pool),
-        pool=tuple(pool),
+        pool=pool,
         term_algebra=term_algebra(sig, pool),
     )
 
 
 def lifted_term_algebra(carrier: Sequence[int], pool: Sequence[Atom]) -> TermlikeAlgebra:
     carrier = tuple(carrier)
+    pool = tuple(pool)
     return TermlikeAlgebra(
         f"lifted-elems[{len(carrier)}]",
         carrier=lifted_carrier(carrier),
         sub=sub_lift,
         generate=lambda rng: rand_lifted_elem(rng, carrier, pool),
-        pool=tuple(pool),
+        pool=pool,
         atm=lambda a: atm_lift(carrier, a),
     )

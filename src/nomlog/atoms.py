@@ -137,7 +137,6 @@ def is_fresh_by_swap(
 class Carrier(Generic[T]):
     """Permutation-action contract for one kind of value."""
 
-    name: str
     act: Callable[[Perm, T], T]
     eq: Callable[[T, T], bool]
     support_bound: Callable[[T], frozenset[Atom]]
@@ -151,7 +150,6 @@ class Carrier(Generic[T]):
 
 
 ATOM_CARRIER: Carrier[Atom] = Carrier(
-    name="atoms",
     act=lambda p, a: p(a),
     eq=lambda x, y: x == y,
     support_bound=lambda a: frozenset((a,)),

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `read_int` for input numbers."""
 
 from __future__ import annotations
 
@@ -47,3 +47,13 @@ class ProofFormatError(DerivationError):
 
 class SearchBudgetError(NomlogError):
     pass
+
+
+def read_int(text: str, error: type[NomlogError], line: int | None = None) -> int:
+    """int(text), raising `error` (at input line `line`, if given) for text it
+    cannot read, such as a number past Python's digit limit for strings."""
+    try:
+        return int(text)
+    except ValueError:
+        where = "" if line is None else f"line {line}: "
+        raise error(f"{where}cannot read {text.strip()[:20]!r} as a number") from None

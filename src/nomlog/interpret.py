@@ -6,7 +6,7 @@ boolean table.  The quantifier case needs no environment bookkeeping: it is
 the freshening greatest lower bound that discards its own atom.  Pointwise
 evaluation of the tables agrees with the usual valuation semantics
 (`check_term_bridge` / `check_formula_bridge`), and substitution commutes
-with denotation (`check_term_subst` / `check_formula_subst`).
+with denotation.
 
 Which atoms each subterm's table ranges over is fixed by the syntax, so
 `TablePlan(x, size)` compiles a term, formula or sequent, for carriers of one
@@ -14,8 +14,8 @@ size, into a straight-line list of steps over registers: each register a
 table over its subterm's free atoms, not canonicalized, and every
 realignment a `lifting._gather` index tuple taken at compile time.  Each
 step holds the `lifting` table kernel that fills its register, and `run_plan`
-calls the kernels in a loop on one model; only the tables a caller gets back
-are canonicalized.
+compiles for one model's carrier and calls the kernels in a loop on that
+model; only the tables a caller gets back are canonicalized.
 
 `countermodel_search` returns the first model, in `enumerate_models` order
 and carrier size by size, where the glb of the left side is not below the
@@ -45,7 +45,7 @@ from typing import Iterable, Iterator
 from .atoms import Atom, ascending
 from .errors import SearchBudgetError
 from .lifting import LiftedElem, _gather, canonicalize, dump_lifted, eval_at, first_gap
-from .lifting import apply_cells, fold_cells, meet_blocks, negate_cells, sub_lift
+from .lifting import apply_cells, fold_cells, meet_blocks, negate_cells
 from .models import OrdinaryModel, Valuation, dump_model, eval_formula, eval_term
 from .sequents import Sequent, fa_sequent
 from .syntax import (
@@ -59,8 +59,6 @@ from .syntax import (
     Signature,
     Term,
     Var,
-    subst_formula,
-    subst_term,
     used_signature,
 )
 
@@ -192,16 +190,15 @@ def _column(regs: list[tuple], reg: int, where: tuple | None):
     return regs[reg] if where is None else map(regs[reg].__getitem__, where)
 
 
-def run_plan(plan: TablePlan, model: OrdinaryModel) -> list[tuple]:
-    """Every register's table in this model."""
-    carrier, k = model.carrier, plan.size
-    if len(carrier) != k:
-        raise ValueError(f"plan for carriers of size {k}, model has {len(carrier)}")
+def run_plan(x: Term | Formula | Sequent, model: OrdinaryModel) -> tuple[TablePlan, list[tuple]]:
+    """x's plan for the model's carrier size, and every register's table in
+    the model."""
+    plan = TablePlan(x, len(model.carrier))
     args = [model.table(*arg) if isinstance(arg, tuple) else arg for arg in plan.args]
     regs = list(plan.constants)
     for reg, _ in plan.variables:
-        regs[reg] = carrier
-    return _run(plan.steps, regs, args)
+        regs[reg] = model.carrier
+    return plan, _run(plan.steps, regs, args)
 
 
 def _run(steps: list[tuple], regs: list, args: list) -> list:
@@ -238,31 +235,25 @@ def _canonical_outputs(plan: TablePlan, regs: list[tuple], carrier: tuple) -> li
     return [elems[reg] for reg in plan.outputs]
 
 
-def _denote(model: OrdinaryModel, x: Term | Formula) -> LiftedElem:
-    plan = TablePlan(x, len(model.carrier))
-    return _canonical_outputs(plan, run_plan(plan, model), model.carrier)[0]
-
-
 def denote_term(model: OrdinaryModel, t: Term) -> LiftedElem:
     """The carrier-valued table a term stands for in a model."""
-    return _denote(model, t)
+    return _canonical_outputs(*run_plan(t, model), model.carrier)[0]
 
 
 def denote_formula(model: OrdinaryModel, f: Formula) -> LiftedElem:
     """The boolean table a formula stands for in a model."""
-    return _denote(model, f)
+    return _canonical_outputs(*run_plan(f, model), model.carrier)[0]
 
 
 def is_valid(model: OrdinaryModel, f: Formula) -> bool:
     """True when the formula denotes the constant-true table."""
-    plan = TablePlan(f, len(model.carrier))
-    return all(run_plan(plan, model)[plan.outputs[0]])
+    plan, regs = run_plan(f, model)
+    return all(regs[plan.outputs[0]])
 
 
 def sequent_holds(model: OrdinaryModel, seq: Sequent) -> bool:
     """glb of the left side below lub of the right side, as tables."""
-    plan = TablePlan(seq, len(model.carrier))
-    return not _has_gap(plan, run_plan(plan, model))
+    return not _has_gap(*run_plan(seq, model))
 
 
 # -- sanity bridges --------------------------------------------------------------
@@ -275,19 +266,6 @@ def check_term_bridge(model: OrdinaryModel, v: Valuation, t: Term) -> bool:
 
 def check_formula_bridge(model: OrdinaryModel, v: Valuation, f: Formula) -> bool:
     return eval_formula(model, v, f) == bool(eval_at(denote_formula(model, f), v))
-
-
-def check_term_subst(model: OrdinaryModel, t: Term, a, s: Term) -> bool:
-    """Substituting then denoting equals substituting on the tables."""
-    lhs = denote_term(model, subst_term(t, a, s))
-    rhs = sub_lift(denote_term(model, t), a, denote_term(model, s))
-    return lhs == rhs
-
-
-def check_formula_subst(model: OrdinaryModel, f: Formula, a, s: Term) -> bool:
-    lhs = denote_formula(model, subst_formula(f, a, s))
-    rhs = sub_lift(denote_formula(model, f), a, denote_term(model, s))
-    return lhs == rhs
 
 
 # -- model enumeration and countermodel search ------------------------------------
@@ -457,8 +435,7 @@ def _countermodel(plan: TablePlan, regs: list[tuple], model: OrdinaryModel) -> C
 
 def refute(model: OrdinaryModel, seq: Sequent) -> Countermodel | None:
     """The witnessing gap in this model, or None when the sequent holds."""
-    plan = TablePlan(seq, len(model.carrier))
-    regs = run_plan(plan, model)
+    plan, regs = run_plan(seq, model)
     return _countermodel(plan, regs, model) if _has_gap(plan, regs) else None
 
 
@@ -471,18 +448,20 @@ def countermodel_search(
     """First countermodel over carriers {0}, {0,1}, ... up to max_size.
 
     Work is estimated up front as (number of models) x (carrier assignments
-    to the sequent's free atoms); past the budget the search refuses with
+    to the sequent's free atoms), summed size by size; at the first size
+    where the sum passes the budget the search refuses with
     `SearchBudgetError` rather than silently running for hours.  A `stats`
     dict gets, per size searched, the models "estimated" and `_leaves`' counts.
     """
     sig = used_signature((*seq.left, *seq.right))
     n_free = len(fa_sequent(seq))
-    estimated = {size: count_models(sig, size) for size in range(1, max_size + 1)}
-    total = sum(n * size**n_free for size, n in estimated.items())
-    if total > budget:
-        raise SearchBudgetError(
-            f"search needs about {total} table checks; budget is {budget}"
-        )
+    estimated: dict[int, int] = {}
+    total = 0
+    for size in range(1, max_size + 1):
+        estimated[size] = count_models(sig, size)
+        total += estimated[size] * size**n_free
+        if total > budget:
+            raise SearchBudgetError(f"search over budget at size {size}; budget is {budget}")
     stats = {} if stats is None else stats
     for size, n in estimated.items():
         counts = stats[size] = {"estimated": n, "tested": 0, "cut": 0, "symmetric": 0}

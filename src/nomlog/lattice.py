@@ -3,8 +3,8 @@
 The single primitive is `fresh_glb(A, X)`: the greatest element below every
 member of X among those not depending on the atoms in A.  Everything else is
 derived: top = fresh_glb({}, {}), binary meet takes A = {}, the universal
-quantifier on truth values is fresh_glb({a}, {x}); complements give bottom,
-join, and the existential by De Morgan.  `run_nba_suite` checks the laws
+quantifier on truth values is fresh_glb({a}, {x}); complements give bottom
+and join by De Morgan.  `run_nba_suite` checks the laws
 that make such a carrier a boolean algebra compatible with substitution.
 """
 
@@ -62,13 +62,11 @@ class NominalPoset(SubstAlgebra):
     def join(self, x, y):
         return self.neg(self.meet(self.neg(x), self.neg(y)))
 
-    def equant(self, a: Atom, x):
-        return self.neg(self.uquant(a, self.neg(x)))
-
 
 def lifted_nba(carrier: Sequence[int], pool: Sequence[Atom]) -> NominalPoset:
     """The boolean-valued lifted carrier over a finite model's carrier."""
     c = tuple(carrier)
+    pool = tuple(pool)
     return NominalPoset(
         f"lifted-bools[{len(c)}]",
         carrier=lifted_carrier(c),

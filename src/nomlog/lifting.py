@@ -275,7 +275,6 @@ def enumerate_lifted(
 def lifted_carrier(carrier: Sequence[int]) -> Carrier[LiftedElem]:
     carrier = tuple(carrier)
     return Carrier(
-        name=f"lifted[{len(carrier)}]",
         act=perm_act_lift,
         eq=lambda x, y: x == y,
         support_bound=lambda f: frozenset(f.deps),

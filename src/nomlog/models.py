@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .atoms import Atom, Perm, ascending
-from .errors import ArityError, ModelFormatError, UnboundAtomError, UnknownSymbolError
+from .errors import ArityError, ModelFormatError, UnboundAtomError, UnknownSymbolError, read_int
 from .syntax import All, And, App, Bot, Formula, Neg, Pred, Signature, Term, Var
 
 
@@ -166,11 +166,11 @@ _PRED_ENTRY = re.compile(r"\(([0-9,\s]*)\)|(\d+)")
 _HEADER = re.compile(r"(fun|pred)\s+([A-Za-z_][A-Za-z0-9_]*)(?:\s*/\s*(\d+))?\s*:(.*)")
 
 
-def _parse_tuple(text: str) -> tuple[int, ...]:
+def _parse_tuple(text: str, lineno: int) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(part) for part in text.split(","))
+    return tuple(read_int(part, ModelFormatError, lineno) for part in text.split(","))
 
 
 def load_model(text: str, sig: Signature | None = None) -> OrdinaryModel:
@@ -186,16 +186,14 @@ def load_model(text: str, sig: Signature | None = None) -> OrdinaryModel:
         if line.startswith("carrier"):
             if carrier is not None:
                 raise ModelFormatError(f"line {lineno}: duplicate carrier line")
-            try:
-                carrier = tuple(int(tok) for tok in line[len("carrier") :].split())
-            except ValueError:
-                raise ModelFormatError(f"line {lineno}: bad carrier line {raw.strip()!r}") from None
+            tokens = line[len("carrier") :].split()
+            carrier = tuple(read_int(tok, ModelFormatError, lineno) for tok in tokens)
             continue
         m = _HEADER.fullmatch(line)
         if not m:
             raise ModelFormatError(f"line {lineno}: unrecognized line {raw.strip()!r}")
         kind, name, arity_text, payload = m.groups()
-        declared_arity = int(arity_text) if arity_text is not None else None
+        declared_arity = read_int(arity_text, ModelFormatError, lineno) if arity_text else None
         if kind == "fun":
             if name in funs:
                 raise ModelFormatError(f"line {lineno}: duplicate block for fun {name}")
@@ -204,12 +202,12 @@ def load_model(text: str, sig: Signature | None = None) -> OrdinaryModel:
                 raise ModelFormatError(f"line {lineno}: bad entries in fun {name} block")
             table: dict[tuple[int, ...], int] = {}
             for entry in entries:
-                args = _parse_tuple(entry.group(1))
+                args = _parse_tuple(entry.group(1), lineno)
                 if declared_arity is not None and len(args) != declared_arity:
                     raise ModelFormatError(f"line {lineno}: fun {name} entry of wrong arity")
                 if args in table:
                     raise ModelFormatError(f"line {lineno}: duplicate entry for fun {name}{args}")
-                table[args] = int(entry.group(2))
+                table[args] = read_int(entry.group(2), ModelFormatError, lineno)
             if not table:
                 raise ModelFormatError(f"line {lineno}: fun {name} has no entries")
             funs[name] = table
@@ -219,8 +217,8 @@ def load_model(text: str, sig: Signature | None = None) -> OrdinaryModel:
             tuples: list[tuple[int, ...]] = []
             for entry in _PRED_ENTRY.finditer(payload):
                 tuples.append(
-                    _parse_tuple(entry.group(1)) if entry.group(1) is not None
-                    else (int(entry.group(2)),)
+                    _parse_tuple(entry.group(1), lineno) if entry.group(1) is not None
+                    else (read_int(entry.group(2), ModelFormatError, lineno),)
                 )
             if _PRED_ENTRY.sub("", payload).replace(",", " ").strip():
                 raise ModelFormatError(f"line {lineno}: bad entries in pred {name} block")

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 
 from .atoms import Atom
-from .errors import ParseError
+from .errors import ParseError, read_int
 from .sequents import Sequent
 from .syntax import All, And, App, Bot, Formula, Neg, Pred, Signature, Term, Var
 
@@ -46,12 +46,12 @@ class AtomContext:
 
     def reserve(self, text: str) -> None:
         """Take the index of every `aN` identifier in `text`."""
-        self._taken.update(map(int, _INDEXED_IN.findall(text)))
+        self._taken.update(read_int(n, ParseError) for n in _INDEXED_IN.findall(text))
 
     def atom(self, name: str, offset: int | None = None) -> Atom:
         m = _INDEXED.match(name)
         if m:
-            i = int(m[1])
+            i = read_int(m[1], ParseError)
             for spelled, a in self._named.items():
                 if a.index == i:
                     raise ParseError(f"{name} is already the atom named {spelled!r}", offset)
@@ -302,7 +302,7 @@ def parse_signature(text: str) -> Signature:
         m = re.fullmatch(r"(fun|pred)\s+([A-Za-z_][A-Za-z0-9_]*)\s*/\s*(\d+)", line)
         if not m:
             raise ParseError(f"bad signature line {lineno}: {raw.strip()!r}")
-        kind, name, arity = m.group(1), m.group(2), int(m.group(3))
+        kind, name, arity = m.group(1), m.group(2), read_int(m.group(3), ParseError, lineno)
         table = sig.funs if kind == "fun" else sig.preds
         if name in table and table[name] != arity:
             raise ParseError(f"conflicting arity for {name!r} on line {lineno}")

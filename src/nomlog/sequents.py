@@ -288,11 +288,6 @@ def infer_conclusion(d: Derivation, path: str = "") -> Sequent:
     return Sequent.of(*_orient(sides, r.side))
 
 
-def check_node(d: Derivation) -> bool:
-    """One rule application; the premises are taken at face value."""
-    return node_violation(d) is None
-
-
 def check_derivation(d: Derivation) -> Sequent:
     """Check every node bottom-up; returns the root conclusion or raises a
     DerivationError whose path addresses the offending node."""

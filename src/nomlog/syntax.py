@@ -300,7 +300,6 @@ def print_formula(f: Formula) -> str:
 
 
 TERM_CARRIER: Carrier[Term] = Carrier(
-    name="terms",
     act=act_term,
     eq=lambda x, y: x == y,
     support_bound=fa_term,

@@ -3,6 +3,7 @@ criterion.  Each prints a single `criterion N: PASS` line (run with -s to see
 them) and enforces its own wall-clock budget, so a regression in either
 correctness or asymptotics fails loudly."""
 
+import dataclasses
 import itertools
 import random
 import time
@@ -47,11 +48,12 @@ from nomlog.gen import (
 )
 from nomlog.interpret import (
     check_formula_bridge,
-    check_formula_subst,
+    denote_formula,
+    denote_term,
     enumerate_models,
     refute,
 )
-from nomlog.lifting import enumerate_lifted, fresh_glb_lift, lifted_carrier
+from nomlog.lifting import enumerate_lifted, fresh_glb_lift, lifted_carrier, sub_lift
 from nomlog.syntax import App
 
 from .test_subst_algebra import capture_subst
@@ -95,7 +97,7 @@ def test_criterion_2_substitution_axiom_suites():
         for r in reports:
             assert r.failed == 0, f"{alg.name}/{r.name}: {r.counterexample}"
             assert r.passed + r.skipped == 1000
-    mutated = formula_algebra(SIG, POOL, subst=capture_subst)
+    mutated = dataclasses.replace(formula_algebra(SIG, POOL), sub=capture_subst)
     rows = {r.name: r for r in run_axiom_suite(mutated, trials=1000, seed=0)}
     assert rows["Subalpha"].failed or rows["Subsigma"].failed, (
         "a capture-permitting substitution was not caught within 1000 trials"
@@ -147,7 +149,9 @@ def test_criterion_5_substitution_lemma():
         f = rand_formula(rng, SIG, POOL, depth=4)
         s = rand_term(rng, SIG, POOL, depth=3)
         x = rng.choice(POOL)
-        assert check_formula_subst(model, f, x, s), f"f={f} a={x} s={s} m={model!r}"
+        lhs = denote_formula(model, subst_formula(f, x, s))
+        rhs = sub_lift(denote_formula(model, f), x, denote_term(model, s))
+        assert lhs == rhs, f"f={f} a={x} s={s} m={model!r}"
     _done(5, t0, 30.0, "500 random (formula, atom, term) triples, carriers 1-3")
 
 

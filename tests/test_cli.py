@@ -1,8 +1,11 @@
 """End-to-end runs of the command line interface via main(argv)."""
 
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nomlog.cli import main
 
@@ -225,6 +228,15 @@ def test_countermodel_budget(capsys):
     assert "budget is 1000" in err
 
 
+def test_budget_refusal_names_the_size_not_the_total(capsys):
+    # sizes 1-4 need 1,053,250 table checks and size 5 another 838,860,800;
+    # the estimate at size 200 has about 12,000 digits and is never printed
+    code, out, err = run(capsys, "countermodel", "--sequent", "Q(a, b) |- Q(a, b)",
+                         "--max-size", "200")
+    assert (code, out) == (2, "")
+    assert err == "error: search over budget at size 5; budget is 10000000\n"
+
+
 def test_bridge_test(capsys):
     code, out, _ = run(capsys, "bridge-test", "--trials", "30")
     assert code == 0
@@ -314,3 +326,48 @@ def test_deep_proof_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "check-proof", str(path))
     assert code == 2
     assert err == f"error: proof nested deeper than {LIMIT} parentheses (at byte {LIMIT})\n"
+
+
+HUGE = "1" * 5000  # past Python's limit on the digits int() reads from a string
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["parse", f"P(a{HUGE})"], None),
+    (["countermodel", "--sequent", f"P(a{HUGE}) |- P(a)"], None),
+    (["check-proof", "{path}"], f'(Ax (concl "P(a{HUGE}) |- P(a{HUGE})"))'),
+    (["eval", "--model", "{path}", "--formula", "bot"], f"carrier 0 1\nfun f: (0) -> {HUGE}\n"),
+    (["eval", "--model", "{path}", "--formula", "bot"], f"carrier 0 1\npred Q: (0,{HUGE})\n"),
+    (["eval", "--model", "{path}", "--formula", "bot"], f"carrier 0 1\npred P/{HUGE}:\n"),
+    (["parse", "--sig", "{path}", "P(a)"], f"pred P/{HUGE}\n"),
+], ids=["parse", "countermodel", "check-proof", "fun-value", "pred-tuple", "arity", "sig"])
+def test_huge_integers_exit_2(capsys, tmp_path, argv, text):
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "as a number" in err
+
+
+# random input: the lexers' alphabet, words of both grammars, and digit runs
+_PIECES = ["a", "b", "a1", "f", "P", "Q", "bot", "forall", "(", ")", ",", ".", "&", "~",
+           "|-", "-", " ", "\n", '"', ";", "\\", "Ax", "concl", "premise", "é"]
+_TEXT = st.lists(
+    st.sampled_from(_PIECES)
+    | st.builds(str.__mul__, st.sampled_from("0123456789"), st.integers(1, 5000)),
+    max_size=12,
+).map("".join)
+
+
+@given(text=_TEXT, as_proof=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_any_text_ends_in_an_exit_status(tmp_path_factory, text, as_proof):
+    path = tmp_path_factory.getbasetemp() / "random.prf"
+    path.write_text(f'(Ax (concl "{text}"))' if as_proof else text, encoding="utf-8")
+    for argv in (
+        ["parse", "--kind", "sequent", "--", text],
+        ["countermodel", f"--sequent={text}", "--max-size", "1"],
+        ["check-proof", str(path)],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2), argv

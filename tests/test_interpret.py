@@ -35,17 +35,15 @@ from nomlog import (
 )
 from nomlog.interpret import (
     check_formula_bridge,
-    check_formula_subst,
     check_term_bridge,
-    check_term_subst,
     count_models,
     refute,
 )
 from nomlog import interpret
-from nomlog.lifting import bot_lift, perm_act_lift, top_lift
+from nomlog.lifting import bot_lift, perm_act_lift, sub_lift, top_lift
 from nomlog.models import OrdinaryModel, all_valuations, dump_model, eval_formula
 from nomlog.sequents import Sequent
-from nomlog.syntax import act_formula, fa_formula, used_signature
+from nomlog.syntax import act_formula, fa_formula, subst_formula, subst_term, used_signature
 
 from . import oracle
 from .strategies import ATOMS, binder_formulas, formulas, models, perms, terms
@@ -107,13 +105,14 @@ def test_formula_bridge(f):
 
 @given(terms(max_leaves=4), terms(max_leaves=4))
 def test_term_substitution_lemma(t, s):
-    assert check_term_subst(M, t, a, s)
+    assert denote_term(M, subst_term(t, a, s)) == sub_lift(denote_term(M, t), a, denote_term(M, s))
 
 
 @given(formulas(max_leaves=4), terms(max_leaves=4))
 @settings(max_examples=50)
 def test_formula_substitution_lemma(f, s):
-    assert check_formula_subst(M, f, a, s)
+    lhs = denote_formula(M, subst_formula(f, a, s))
+    assert lhs == sub_lift(denote_formula(M, f), a, denote_term(M, s))
 
 
 def test_sequent_holds():

@@ -45,7 +45,6 @@ def test_derived_operations():
     assert H.join(IS_A, IS_B) == LiftedElem(TWO, (a, b), (False, True, True, True))
     assert H.neg(IS_A) == LiftedElem(TWO, (a,), (True, False))
     assert H.uquant(a, IS_A) == H.bot()
-    assert H.equant(a, IS_A) == H.top()
     assert H.uquant(b, IS_A) == IS_A
 
 

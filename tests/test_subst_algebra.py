@@ -10,6 +10,7 @@ from nomlog import (
     All,
     Formula,
     Neg,
+    NominalPoset,
     Pred,
     And,
     Bot,
@@ -20,6 +21,7 @@ from nomlog import (
     lifted_nba,
     lifted_term_algebra,
     run_axiom_suite,
+    run_nba_suite,
     subst_term,
     suite_ok,
     term_algebra,
@@ -62,6 +64,22 @@ def test_lifted_algebras_pass():
         carrier = range(size)
         assert suite_ok(run_axiom_suite(lifted_term_algebra(carrier, POOL), trials=200, seed=1))
         assert suite_ok(run_axiom_suite(lifted_nba(carrier, POOL), trials=200, seed=1))
+
+
+@pytest.mark.parametrize("factory", [
+    atoms_algebra,
+    lambda pool: term_algebra(SIG, pool),
+    lambda pool: formula_algebra(SIG, pool),
+    lambda pool: lifted_term_algebra(range(2), pool),
+    lambda pool: lifted_nba(range(2), pool),
+], ids=["atoms", "terms", "formulas", "lifted", "lifted-bool"])
+def test_a_one_shot_pool_gives_the_same_reports(factory):
+    suites = [run_axiom_suite]
+    if isinstance(factory(POOL), NominalPoset):
+        suites.append(run_nba_suite)
+    for suite in suites:
+        want = suite(factory(POOL), trials=60, seed=2)
+        assert suite(factory(iter(POOL)), trials=60, seed=2) == want
 
 
 def test_an_algebra_that_is_not_term_like_needs_a_term_algebra():
@@ -107,7 +125,7 @@ def capture_subst(f: Formula, a, u):
 
 
 def test_capturing_subst_is_caught():
-    broken = formula_algebra(SIG, POOL, subst=capture_subst)
+    broken = replace(formula_algebra(SIG, POOL), sub=capture_subst)
     reports = by_name(run_axiom_suite(broken, trials=1000, seed=0))
     bad = [n for n in ("Subalpha", "Subsigma") if reports[n].failed]
     assert bad, "capture-permitting substitution slipped through the suite"
@@ -115,7 +133,7 @@ def test_capturing_subst_is_caught():
 
 
 def test_counterexample_is_reported_lazily():
-    broken = formula_algebra(SIG, POOL, subst=capture_subst)
+    broken = replace(formula_algebra(SIG, POOL), sub=capture_subst)
     failing = [r for r in run_axiom_suite(broken, trials=1000, seed=0) if r.failed]
     for r in failing:
         assert "x=" in r.counterexample and "a=" in r.counterexample
