@@ -17,12 +17,16 @@ bare name in term position is an atom that gets the least index its
 context has not handed out or read, every aN of the text included (see
 `AtomContext`).  With no signature, former arities are inferred from
 first use and checked for consistency.
+
+A text is lexed in one regex scan; tokens keep character indices, turned
+into byte offsets only for an error.  Given a memo, `parse_sequent` and
+`parse_formula` parse each top-level formula text once (see `parse_sequent`).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .atoms import Atom
 from .errors import ParseError, read_int
@@ -32,7 +36,7 @@ from .syntax import All, And, App, Bot, Formula, Neg, Pred, Signature, Term, Var
 MAX_NESTING = 256
 _INDEXED = re.compile(r"^a(\d+)$")
 _INDEXED_IN = re.compile(r"\ba(\d+)\b")  # the aN identifiers of a text
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN = re.compile(r"(\|-|[(),.&~])|([A-Za-z_][A-Za-z0-9_]*)|(\S)")
 
 
 class AtomContext:
@@ -46,7 +50,7 @@ class AtomContext:
 
     def reserve(self, text: str) -> None:
         """Take the index of every `aN` identifier in `text`."""
-        self._taken.update(read_int(n, ParseError) for n in _INDEXED_IN.findall(text))
+        self._taken.update(read_int(n, ParseError) for n in set(_INDEXED_IN.findall(text)))
 
     def atom(self, name: str, offset: int | None = None) -> Atom:
         m = _INDEXED.match(name)
@@ -66,42 +70,24 @@ class AtomContext:
         return self._named[name]
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident ( ) , . & ~ |- eof
+class Token(NamedTuple):
+    kind: str  # ident ( ) , . & ~ |- eof here; ( ) str word eof in proof files
     text: str
-    offset: int  # byte offset into the input
+    offset: int  # a character index; errors report it as a byte offset
 
 
-def _lex(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    i = 0
-    byte = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            byte += len(ch.encode("utf-8"))
-            i += 1
-            continue
-        if ch == "|" and text[i : i + 2] == "|-":
-            toks.append(_Token("|-", "|-", byte))
-            i += 2
-            byte += 2
-            continue
-        if ch in "(),.&~":
-            toks.append(_Token(ch, ch, byte))
-            i += 1
-            byte += 1
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            toks.append(_Token("ident", m.group(0), byte))
-            byte += len(m.group(0).encode("utf-8"))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", byte)
-    toks.append(_Token("eof", "", byte))
+def byte_at(text: str, index: int) -> int:
+    """The UTF-8 byte offset of text[index]."""
+    return index if text.isascii() else len(text[:index].encode("utf-8"))
+
+
+def _lex(text: str) -> list[Token]:
+    toks: list[Token] = []
+    for m in _TOKEN.finditer(text):
+        if m.lastindex == 3:
+            raise ParseError(f"unexpected character {m[3]!r}", byte_at(text, m.start()))
+        toks.append(Token(m[1] or "ident", m[0], m.start()))
+    toks.append(Token("eof", "", len(text)))
     return toks
 
 
@@ -113,6 +99,7 @@ class _Parser:
         ctx: AtomContext | None,
         infer: bool | None = None,
     ) -> None:
+        self.text = text
         self.toks = _lex(text)
         self.i = 0
         self.infer = (sig is None) if infer is None else infer
@@ -121,58 +108,62 @@ class _Parser:
         self.ctx.reserve(text)
         self.depth = 0
 
-    def peek(self) -> _Token:
+    def error(self, message: str, tok: Token) -> ParseError:
+        return ParseError(message, byte_at(self.text, tok.offset))
+
+    def peek(self) -> Token:
         return self.toks[self.i]
 
-    def next(self) -> _Token:
+    def next(self) -> Token:
         tok = self.toks[self.i]
         self.i += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.offset)
+            raise self.error(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok)
         return self.next()
 
-    def deeper(self, tok: _Token) -> None:
+    def deeper(self, tok: Token) -> None:
         """Open one nesting level at `tok`; the caller closes it afterwards."""
         if self.depth == MAX_NESTING:
-            raise ParseError(f"input nested deeper than {MAX_NESTING} levels", tok.offset)
+            raise self.error(f"input nested deeper than {MAX_NESTING} levels", tok)
         self.depth += 1
 
     def finish(self) -> None:
         tok = self.peek()
         if tok.kind != "eof":
-            raise ParseError(f"trailing input starting with {tok.text!r}", tok.offset)
+            raise self.error(f"trailing input starting with {tok.text!r}", tok)
 
     # -- formers ----------------------------------------------------------
 
-    def _check(self, table: dict[str, int], noun: str, name: str, arity: int, offset: int) -> None:
-        """`name`, a `noun` of the signature's `table`, used with `arity` arguments."""
+    def _check(self, table: dict[str, int], noun: str, tok: Token, arity: int) -> None:
+        """`tok`'s name, a `noun` of the signature's `table`, used with `arity` arguments."""
+        name = tok.text
         if self.infer:
             have = table.setdefault(name, arity)
         else:
             if name not in table:
-                raise ParseError(f"unknown {noun} {name!r}", offset)
+                raise self.error(f"unknown {noun} {name!r}", tok)
             have = table[name]
         if have != arity:
-            raise ParseError(f"{name} expects {have} arguments, got {arity}", offset)
+            raise self.error(f"{name} expects {have} arguments, got {arity}", tok)
 
     # -- terms -------------------------------------------------------------
 
     def term(self) -> Term:
         tok = self.peek()
         if tok.kind != "ident":
-            raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}", tok.offset)
+            raise self.error(f"expected a term, found {tok.text or 'end of input'!r}", tok)
         self.next()
         if self.peek().kind == "(":
             args = self.args()
-            self._check(self.sig.funs, "term former", tok.text, len(args), tok.offset)
+            self._check(self.sig.funs, "term former", tok, len(args))
             return App(tok.text, args)
         if not self.infer and self.sig.funs.get(tok.text) == 0:
             return App(tok.text, ())
-        return Var(self.ctx.atom(tok.text, tok.offset))
+        return Var(self.ctx.atom(tok.text, byte_at(self.text, tok.offset)))
 
     def args(self) -> tuple[Term, ...]:
         self.deeper(self.expect("("))
@@ -209,7 +200,7 @@ class _Parser:
             name = self.expect("ident")
             self.expect(".")
             # The binder is named before its body, so it takes the lower index.
-            atom = self.ctx.atom(name.text, name.offset)
+            atom = self.ctx.atom(name.text, byte_at(self.text, name.offset))
             body = self.formula()
             self.depth -= 1
             return All(atom, body)
@@ -224,17 +215,15 @@ class _Parser:
             self.depth -= 1
             return f
         if tok.kind != "ident":
-            raise ParseError(
-                f"expected a formula, found {tok.text or 'end of input'!r}", tok.offset
-            )
+            raise self.error(f"expected a formula, found {tok.text or 'end of input'!r}", tok)
         self.next()
         if tok.text == "bot":
             return Bot()
         if self.peek().kind == "(":
             args = self.args()
-            self._check(self.sig.preds, "predicate", tok.text, len(args), tok.offset)
+            self._check(self.sig.preds, "predicate", tok, len(args))
             return Pred(tok.text, args)
-        self._check(self.sig.preds, "predicate", tok.text, 0, tok.offset)
+        self._check(self.sig.preds, "predicate", tok, 0)
         return Pred(tok.text, ())
 
     # -- sequents ------------------------------------------------------------
@@ -255,40 +244,78 @@ class _Parser:
         return Sequent.of(left, right)
 
 
-def parse_term(
-    text: str,
-    sig: Signature | None = None,
-    ctx: AtomContext | None = None,
-    infer: bool | None = None,
-) -> Term:
+def _parse(text: str, sig, ctx, infer, rule):
     p = _Parser(text, sig, ctx, infer)
-    r = p.term()
+    r = rule(p)
     p.finish()
     return r
 
 
-def parse_formula(
-    text: str,
-    sig: Signature | None = None,
-    ctx: AtomContext | None = None,
+def _read(text: str, sig: Signature, ctx: AtomContext, infer, memo: dict) -> Formula:
+    """The formula of `text`, parsed only if `memo` has not seen its stripped text."""
+    key = text.strip()
+    if key not in memo:
+        memo[key] = _parse(text, sig, ctx, infer, _Parser.formula)
+    return memo[key]
+
+
+def _sides(text: str) -> list[list[str]] | None:
+    """A sequent text split at its top-level `,` and `|-` into the stripped
+    formula texts of each side, or None if it has not one `|-`, unbalanced
+    parentheses or an empty formula.  A text split wrongly only fails to
+    read formula by formula."""
+    halves = text.split("|-")
+    sides = []
+    for half in halves if len(halves) == 2 else ():
+        pieces: list[str] = []
+        depth = 0
+        for part in half.split(","):
+            pieces.append(f"{pieces.pop()},{part}" if depth else part)
+            depth += part.count("(") - part.count(")")
+            if depth < 0:
+                return None
+        pieces = [piece.strip() for piece in pieces]
+        if depth or ("" in pieces and pieces != [""]):
+            return None
+        sides.append(pieces if pieces != [""] else [])
+    return sides or None
+
+
+def parse_term(
+    text: str, sig: Signature | None = None, ctx: AtomContext | None = None,
     infer: bool | None = None,
+) -> Term:
+    return _parse(text, sig, ctx, infer, _Parser.term)
+
+
+def parse_formula(
+    text: str, sig: Signature | None = None, ctx: AtomContext | None = None,
+    infer: bool | None = None, memo: dict[str, Formula] | None = None,
 ) -> Formula:
-    p = _Parser(text, sig, ctx, infer)
-    f = p.formula()
-    p.finish()
-    return f
+    """With a `memo`, as for `parse_sequent`."""
+    if memo is None or sig is None or ctx is None:
+        return _parse(text, sig, ctx, infer, _Parser.formula)
+    return _read(text, sig, ctx, infer, memo)
 
 
 def parse_sequent(
-    text: str,
-    sig: Signature | None = None,
-    ctx: AtomContext | None = None,
-    infer: bool | None = None,
+    text: str, sig: Signature | None = None, ctx: AtomContext | None = None,
+    infer: bool | None = None, memo: dict[str, Formula] | None = None,
 ) -> Sequent:
-    p = _Parser(text, sig, ctx, infer)
-    s = p.sequent()
-    p.finish()
-    return s
+    """With a `memo` that only calls with this `sig` and `ctx` share, each
+    top-level formula text is parsed once and comes back as the same object:
+    a formula's parse depends only on its tokens and on names, reserved `aN`
+    and arities, which only grow.  A text that does not read formula by
+    formula is parsed whole, which reports its errors where they lie."""
+    sides = None if memo is None or sig is None or ctx is None else _sides(text)
+    if sides is not None:
+        if not all(t in memo for side in sides for t in side):
+            ctx.reserve(text)  # before naming anything, as a whole parse would
+        try:
+            return Sequent.of(*([_read(t, sig, ctx, infer, memo) for t in side] for side in sides))
+        except ParseError:
+            pass
+    return _parse(text, sig, ctx, infer, _Parser.sequent)
 
 
 def parse_signature(text: str) -> Signature:

@@ -10,87 +10,62 @@ Leaves need an explicit conclusion; for inner nodes an omitted conclusion is
 inferred from the premises by `sequents.infer_conclusion`, which reads the
 rule table upwards.  Parentheses nest at most `parsing.MAX_NESTING` deep.
 Loading does not check the proof; pass the result to `check_derivation`.
+It parses each distinct formula text of a file once: one memo, dropped when
+`load_proof` returns, serves every `(concl ...)` and `(principal ...)`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import re
+from dataclasses import replace
 
 from .errors import ParseError, ProofFormatError
-from .parsing import MAX_NESTING, AtomContext, parse_formula, parse_sequent, parse_term
+from .parsing import MAX_NESTING, AtomContext, Token, byte_at
+from .parsing import parse_formula, parse_sequent, parse_term
 from .sequents import RULES, Derivation, arity_violation, infer_conclusion
-from .syntax import Signature
+from .syntax import Formula, Signature
 
 
-@dataclass(frozen=True)
-class _STok:
-    kind: str  # ( ) str word
-    text: str
-    offset: int  # a character index; errors report it as a byte offset
+# Whitespace, a comment, a parenthesis, a string, a word, or a quote that
+# opens no terminated string; every character is part of one of them.
+_SEXP_TOKEN = re.compile(
+    r'\s+|;[^\n]*|(?P<paren>[()])|"(?P<str>[^"\\]*(?:\\.[^"\\]*)*)"|(?P<word>[^\s()"]+)|"',
+    re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
-def _byte(text: str, offset: int) -> int:
-    """The UTF-8 byte offset of text[offset]."""
-    return len(text[:offset].encode("utf-8"))
-
-
-def _lex_sexp(text: str) -> list[_STok]:
-    toks: list[_STok] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in "()":
-            toks.append(_STok(ch, ch, i))
-            i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    j += 1
-                out.append(text[j])
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string in proof file", _byte(text, i))
-            toks.append(_STok("str", "".join(out), i))
-            i = j + 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in '()"':
-            j += 1
-        toks.append(_STok("word", text[i:j], i))
-        i = j
-    toks.append(_STok("eof", "", n))
+def _lex_sexp(text: str) -> list[Token]:
+    toks: list[Token] = []
+    for m in _SEXP_TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is not None:
+            word = _ESCAPE.sub(r"\1", m[kind]) if kind == "str" else m[kind]
+            toks.append(Token(word if kind == "paren" else kind, word, m.start()))
+        elif m[0] == '"':
+            raise ParseError("unterminated string in proof file", byte_at(text, m.start()))
+    toks.append(Token("eof", "", len(text)))
     return toks
 
 
-def _parse_sexp(text: str, toks: list[_STok], i: int, depth: int = 0):
+def _parse_sexp(text: str, toks: list[Token], i: int, depth: int = 0):
     tok = toks[i]
     if tok.kind == "(":
         if depth == MAX_NESTING:
             raise ParseError(
-                f"proof nested deeper than {MAX_NESTING} parentheses", _byte(text, tok.offset)
+                f"proof nested deeper than {MAX_NESTING} parentheses", byte_at(text, tok.offset)
             )
         items = []
         i += 1
         while toks[i].kind != ")":
             if toks[i].kind == "eof":
-                raise ParseError("unbalanced parenthesis in proof file", _byte(text, tok.offset))
+                raise ParseError("unbalanced parenthesis in proof file", byte_at(text, tok.offset))
             item, i = _parse_sexp(text, toks, i, depth + 1)
             items.append(item)
         return items, i + 1
     if tok.kind in ("word", "str"):
         return tok, i + 1
-    raise ParseError(f"unexpected token {tok.text!r} in proof file", _byte(text, tok.offset))
+    raise ParseError(f"unexpected token {tok.text!r} in proof file", byte_at(text, tok.offset))
 
 
 def load_proof(
@@ -101,13 +76,14 @@ def load_proof(
     sig = sig if sig is not None else Signature()
     ctx = ctx if ctx is not None else AtomContext()
     ctx.reserve(text)
+    memo: dict[str, Formula] = {}  # each formula text of this file, read once
     toks = _lex_sexp(text)
     tree, i = _parse_sexp(text, toks, 0)
     if toks[i].kind != "eof":
-        raise ParseError("trailing input after proof", _byte(text, toks[i].offset))
+        raise ParseError("trailing input after proof", byte_at(text, toks[i].offset))
 
     def build(node, path: str) -> Derivation:
-        if not isinstance(node, list) or not node or not isinstance(node[0], _STok):
+        if not isinstance(node, list) or not node or not isinstance(node[0], Token):
             raise ProofFormatError("malformed proof node", path)
         rule = node[0].text
         if rule not in RULES:
@@ -115,7 +91,7 @@ def load_proof(
         concl = principal = witness = eigen = None
         premises: list[Derivation] = []
         for item in node[1:]:
-            if not isinstance(item, list) or not item or not isinstance(item[0], _STok):
+            if not isinstance(item, list) or not item or not isinstance(item[0], Token):
                 raise ProofFormatError(f"malformed item under {rule}", path)
             head = item[0].text
             if head == "premise":
@@ -124,18 +100,18 @@ def load_proof(
                 premises.append(build(item[1], f"{path}.premises[{len(premises)}]"
                                        if path else f"premises[{len(premises)}]"))
                 continue
-            if len(item) != 2 or not isinstance(item[1], _STok):
+            if len(item) != 2 or not isinstance(item[1], Token):
                 raise ProofFormatError(f"({head} ...) takes one argument", path)
             arg = item[1].text
             try:
                 if head == "concl":
-                    concl = parse_sequent(arg, sig, ctx, infer=infer)
+                    concl = parse_sequent(arg, sig, ctx, infer=infer, memo=memo)
                 elif head == "principal":
-                    principal = parse_formula(arg, sig, ctx, infer=infer)
+                    principal = parse_formula(arg, sig, ctx, infer=infer, memo=memo)
                 elif head == "witness":
                     witness = parse_term(arg, sig, ctx, infer=infer)
                 elif head == "eigen":
-                    eigen = ctx.atom(arg, _byte(text, item[1].offset))
+                    eigen = ctx.atom(arg, byte_at(text, item[1].offset))
                 else:
                     raise ProofFormatError(f"unknown item {head!r} under {rule}", path)
             except ParseError as exc:

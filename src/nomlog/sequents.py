@@ -3,7 +3,9 @@
 A sequent stores each side deduplicated up to alpha-equivalence, keeping the
 first of alpha-equal formulas in first-seen order.  Membership, removal and
 sequent equality are set operations on `alpha_key`, which agrees with the
-swap-defined `alpha_eq`.
+swap-defined `alpha_eq`.  They read `Formula.alpha_key`, so each formula
+object is keyed once however many sequents and rule checks it is in, and a
+sequent computes its pair of key sets once (`Sequent.key`).
 
 `RULES` is the one table of rules.  A connective rule is fixed by its arity,
 the side and connective of its principal formula, and the parts each premise
@@ -19,6 +21,7 @@ identity rule, without which no atomic sequent would be derivable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .atoms import Atom, Perm
@@ -32,26 +35,25 @@ from .syntax import (
     Neg,
     Term,
     act_formula,
-    alpha_key,
     fa_formula,
     subst_formula,
 )
 
 
 def keys(fs: Iterable[Formula]) -> frozenset[tuple]:
-    return frozenset(map(alpha_key, fs))
+    return frozenset(f.alpha_key for f in fs)
 
 
 def dedupe(fs: Iterable[Formula]) -> tuple[Formula, ...]:
     first: dict[tuple, Formula] = {}
     for f in fs:
-        first.setdefault(alpha_key(f), f)
+        first.setdefault(f.alpha_key, f)
     return tuple(first.values())
 
 
 def without(fs: Iterable[Formula], *drop: Formula) -> tuple[Formula, ...]:
     gone = keys(drop)
-    return tuple(g for g in fs if alpha_key(g) not in gone)
+    return tuple(g for g in fs if g.alpha_key not in gone)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,16 +65,17 @@ class Sequent:
     def of(cls, left: Iterable[Formula], right: Iterable[Formula]) -> "Sequent":
         return cls(dedupe(left), dedupe(right))
 
+    @cached_property
     def key(self) -> tuple[frozenset[tuple], frozenset[tuple]]:
         return keys(self.left), keys(self.right)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequent):
             return NotImplemented
-        return self.key() == other.key()
+        return self.key == other.key
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return hash(self.key)
 
     def __str__(self) -> str:
         left = ", ".join(str(f) for f in self.left)
@@ -107,7 +110,7 @@ def _orient(pair: tuple, side: str) -> tuple:
 
 
 def _botl(d: Derivation) -> str | None:
-    if alpha_key(Bot()) not in keys(d.conclusion.left):
+    if Bot().alpha_key not in d.conclusion.key[0]:
         return "BotL needs bot on the left"
     return None
 
@@ -115,11 +118,11 @@ def _botl(d: Derivation) -> str | None:
 def _ax(d: Derivation) -> str | None:
     c, p = d.conclusion, d.principal
     if p is None:
-        if keys(c.left).isdisjoint(keys(c.right)):
+        if c.key[0].isdisjoint(c.key[1]):
             return "Ax needs a formula shared by both sides"
         return None
-    for side in ("left", "right"):
-        if alpha_key(p) not in keys(getattr(c, side)):
+    for side, side_keys in zip(("left", "right"), c.key):
+        if p.alpha_key not in side_keys:
             return f"Ax principal {p} is not on the {side}"
     return None
 
@@ -137,7 +140,7 @@ def _fresh_eigen(d: Derivation, context) -> str | None:
 
 
 def _eigen_body(p: All, witness, eigen: Atom, premises) -> tuple | str:
-    body = next((g for g in premises[0].right if alpha_key(All(eigen, g)) == alpha_key(p)), None)
+    body = next((g for g in premises[0].right if All(eigen, g).alpha_key == p.alpha_key), None)
     if body is None:
         return f"premise right lacks the body of {p} at eigen atom {eigen}"
     return (((body,), ()),)
@@ -233,7 +236,8 @@ def node_violation(d: Derivation) -> str | None:
         return f"{d.rule} principal {p} is not a {r.noun}"
     side, other = _orient(("left", "right"), r.side)
     c_side, c_other = _orient((d.conclusion.left, d.conclusion.right), side)
-    if alpha_key(p) not in keys(c_side):
+    k_side, k_other = _orient(d.conclusion.key, side)
+    if p.alpha_key not in k_side:
         return f"{d.rule} principal {p} is not on the {side}"
     rest = without(c_side, p)
     premises = tuple(prem.conclusion for prem in d.premises)
@@ -244,14 +248,14 @@ def node_violation(d: Derivation) -> str | None:
     if isinstance(parts, str):
         return f"{d.rule} {parts}"
     for prem, (same, moved) in zip(premises, parts):
-        prem_side, prem_other = _orient((prem.left, prem.right), side)
-        if keys(prem_other) != keys((*c_other, *moved)):
+        prem_side, prem_other = _orient(prem.key, side)
+        if prem_other != k_other | keys(moved):
             if moved:
                 return f"{d.rule} premise {other} must add {moved[0]}"
             return f"{d.rule} premise changed the {other} side"
         # The premise may keep the principal or drop it, as contexts are sets;
         # no part is alpha-equal to its principal, which is strictly larger.
-        if keys(without(prem_side, p)) != keys((*rest, *same)):
+        if prem_side - {p.alpha_key} != k_side - {p.alpha_key} | keys(same):
             return f"{d.rule} premise {side} " + r.wrong.format(*same, p=p)
     return None
 
@@ -277,9 +281,9 @@ def infer_conclusion(d: Derivation, path: str = "") -> Sequent:
     premises = tuple(prem.conclusion for prem in d.premises)
     parts = r.parts(p, d.witness, d.eigen, premises)
     for i, prem in enumerate(premises):
-        prem_side, prem_other = _orient((prem.left, prem.right), r.side)
+        prem_side, prem_other = _orient(prem.key, r.side)
         if isinstance(parts, str) or not (
-            keys(parts[i][0]) <= keys(prem_side) and keys(parts[i][1]) <= keys(prem_other)
+            keys(parts[i][0]) <= prem_side and keys(parts[i][1]) <= prem_other
         ):
             raise fail(r.lacks[i])
     (same, moved), prem = parts[0], premises[0]

@@ -4,12 +4,14 @@ Binding is by plain atoms: alpha-equivalence is a derived relation decided
 with swaps, not a quotient representation, and substitution is
 capture-avoiding with a deterministic least-index choice of renamed binder.
 `alpha_key` is an index for sets of formulas that agrees with the
-swap-defined `alpha_eq`; formulas themselves keep their atoms.
+swap-defined `alpha_eq`; formulas themselves keep their atoms, and each
+formula object computes its key once (`Formula.alpha_key`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .atoms import Atom, Carrier, Perm, fresh_atom, swap
@@ -62,6 +64,11 @@ class Formula:
 
     def __str__(self) -> str:
         return print_formula(self)
+
+    @cached_property
+    def alpha_key(self) -> tuple:
+        """`alpha_key(self)`, computed once per object; eq and hash ignore it."""
+        return alpha_key(self)
 
 
 @dataclass(frozen=True)
