@@ -49,8 +49,8 @@ from .parsing import (
     parse_term,
 )
 from .proofs import load_proof
-from .sequents import Derivation, check_derivation
-from .syntax import fa_formula, fa_term
+from .sequents import RULES, Derivation, check_derivation
+from .syntax import Formula, fa_formula, fa_term
 
 
 def _suite_lines(reports, fmt: str, key: str) -> list[str]:
@@ -96,13 +96,21 @@ def cmd_parse(args) -> int:
     return 0
 
 
-def _node_count(d: Derivation) -> int:
-    return 1 + sum(_node_count(p) for p in d.premises)
+def _rule_counts(d: Derivation) -> dict[str, int]:
+    """Rule applications in the tree, per rule of `RULES`."""
+    counts = dict.fromkeys(RULES, 0)
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        counts[node.rule] += 1
+        stack.extend(node.premises)
+    return counts
 
 
 def cmd_check_proof(args) -> int:
     text = _read(args.path)
     sig = _load_sig(args.sig)
+    keyed = Formula.keyed
     try:
         d = load_proof(text, sig)
         check_derivation(d)
@@ -115,12 +123,16 @@ def cmd_check_proof(args) -> int:
         else:
             print(f"invalid: {e}")
         return 1
+    counts = _rule_counts(d)
     if args.format == "machine":
         print("ok=true")
-        print(f"nodes={_node_count(d)}")
+        print(f"nodes={sum(counts.values())}")
         print(f"conclusion={d.conclusion}")
+        for rule, n in counts.items():
+            print(f"rule.{rule}={n}")
+        print(f"alpha_keys={Formula.keyed - keyed}")
     else:
-        print(f"valid ({_node_count(d)} rule applications)")
+        print(f"valid ({sum(counts.values())} rule applications)")
         print(f"conclusion: {d.conclusion}")
     return 0
 

@@ -448,7 +448,8 @@ def countermodel_search(
     """First countermodel over carriers {0}, {0,1}, ... up to max_size.
 
     Work is estimated up front as (number of models) x (carrier assignments
-    to the sequent's free atoms), summed size by size; at the first size
+    to the sequent's free atoms), and at least the size itself, since each
+    size builds a plan over its carrier; summed size by size, at the first size
     where the sum passes the budget the search refuses with
     `SearchBudgetError` rather than silently running for hours.  A `stats`
     dict gets, per size searched, the models "estimated" and `_leaves`' counts.
@@ -459,7 +460,7 @@ def countermodel_search(
     total = 0
     for size in range(1, max_size + 1):
         estimated[size] = count_models(sig, size)
-        total += estimated[size] * size**n_free
+        total += max(estimated[size] * size**n_free, size)
         if total > budget:
             raise SearchBudgetError(f"search over budget at size {size}; budget is {budget}")
     stats = {} if stats is None else stats

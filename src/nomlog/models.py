@@ -7,7 +7,9 @@ The model file format is line oriented:
     pred P: 0            # lists the tuples where P holds
     pred Q/2: (0,1)      # optional /arity annotation (required when empty)
 
-Function tables must be total; predicate blocks list the true tuples.
+Function tables must be total; predicate blocks list the true tuples.  A
+table over n carrier elements with k arguments has (k + 1) * n**k cells, and
+no table may have more than MAX_TABLE_CELLS of them.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from typing import Iterable, Iterator, Mapping
 from .atoms import Atom, Perm, ascending
 from .errors import ArityError, ModelFormatError, UnboundAtomError, UnknownSymbolError, read_int
 from .syntax import All, And, App, Bot, Formula, Neg, Pred, Signature, Term, Var
+
+MAX_TABLE_CELLS = 1 << 20
 
 
 class OrdinaryModel:
@@ -51,6 +55,7 @@ class OrdinaryModel:
         if not table:
             raise ModelFormatError(f"empty table for {name}")
         arity = len(next(iter(table)))
+        _check_cells(name, len(self.carrier), arity)
         if table.keys() != _argument_tuples(self.carrier, arity):
             raise ModelFormatError(f"table for {name} is not total over carrier^{arity}")
 
@@ -88,6 +93,14 @@ class OrdinaryModel:
 
     def __repr__(self) -> str:
         return f"OrdinaryModel(carrier={self.carrier!r}, funs={self.funs!r}, preds={self.preds!r})"
+
+
+def _check_cells(name: str, n: int, arity: int) -> None:
+    """Refuse a table of `name` over n elements past MAX_TABLE_CELLS cells.  With
+    two or more elements 20 arguments already pass the bound, so no larger
+    power is taken."""
+    if (arity + 1) * n ** min(arity, 20) > MAX_TABLE_CELLS:
+        raise ModelFormatError(f"table for {name} has more than {MAX_TABLE_CELLS} cells")
 
 
 @functools.lru_cache(maxsize=64)
@@ -237,6 +250,7 @@ def load_model(text: str, sig: Signature | None = None) -> OrdinaryModel:
         for t in tuples:
             if len(t) != declared_arity:
                 raise ModelFormatError(f"pred {name}: entry {t} of wrong arity")
+        _check_cells(name, len(carrier), declared_arity)
         true_set = set(tuples)
         preds[name] = {
             args: args in true_set for args in itertools.product(carrier, repeat=declared_arity)

@@ -61,6 +61,7 @@ class App(Term):
 
 class Formula:
     __slots__ = ()
+    keyed = 0  # alpha keys computed so far, at most one per formula object
 
     def __str__(self) -> str:
         return print_formula(self)
@@ -68,6 +69,7 @@ class Formula:
     @cached_property
     def alpha_key(self) -> tuple:
         """`alpha_key(self)`, computed once per object; eq and hash ignore it."""
+        Formula.keyed += 1
         return alpha_key(self)
 
 

@@ -66,6 +66,21 @@ def test_check_proof_machine(capsys):
     assert "ok=true" in out and "nodes=2" in out and "conclusion=|- ~bot" in out
 
 
+def test_check_proof_machine_counters(capsys):
+    path = str(ROOT / "proofs" / "and-assoc.prf")
+    conclusion = "(P(a) & P(b)) & P(c) |- P(a) & P(b) & P(c)"
+    code, out, _ = run(capsys, "check-proof", "--format", "machine", path)
+    assert code == 0
+    assert out == (
+        f"ok=true\nnodes=10\nconclusion={conclusion}\n"
+        "rule.BotL=0\nrule.Ax=3\nrule.AndL=5\nrule.AndR=2\n"
+        "rule.NegL=0\nrule.NegR=0\nrule.AllL=0\nrule.AllR=0\n"
+        "alpha_keys=15\n"
+    )
+    code, out, _ = run(capsys, "check-proof", path)
+    assert (code, out) == (0, f"valid (10 rule applications)\nconclusion: {conclusion}\n")
+
+
 def test_check_proof_invalid(capsys, tmp_path):
     bad = tmp_path / "bad.prf"
     bad.write_text('(Ax (concl "P(a) |- P(b)") (principal "P(a)"))')
@@ -237,6 +252,17 @@ def test_budget_refusal_names_the_size_not_the_total(capsys):
     assert err == "error: search over budget at size 5; budget is 10000000\n"
 
 
+def test_budget_charges_each_size_at_least_its_size(capsys):
+    # a sequent with no symbols and no free atoms has one model per size, but
+    # each size still costs a plan over its carrier
+    code, out, err = run(capsys, "countermodel", "--sequent", "bot |-",
+                         "--max-size", "10000000")
+    assert (code, out) == (2, "")
+    assert err == "error: search over budget at size 4472; budget is 10000000\n"
+    code, out, _ = run(capsys, "countermodel", "--sequent", "bot |-", "--max-size", "3")
+    assert (code, out) == (1, "found=no\n")
+
+
 def test_bridge_test(capsys):
     code, out, _ = run(capsys, "bridge-test", "--trials", "30")
     assert code == 0
@@ -347,6 +373,19 @@ def test_huge_integers_exit_2(capsys, tmp_path, argv, text):
     code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "as a number" in err
+
+
+@pytest.mark.parametrize("text, name", [
+    (f"carrier 0\npred P/{'1' * 4000}:\n", "P"),  # one cell per row, 4000 arguments
+    ("carrier 0 1\npred P/18:\n", "P"),  # 262,144 rows
+    (f"carrier 0 1\nfun f: ({','.join('0' * 30)})->0\n", "f"),  # not total, 2**30 rows
+])
+def test_huge_tables_exit_2(capsys, tmp_path, text, name):
+    path = tmp_path / "huge.model"
+    path.write_text(text)
+    code, out, err = run(capsys, "eval", "--model", str(path), "--formula", "bot")
+    assert (code, out) == (2, "")
+    assert err == f"error: table for {name} has more than 1048576 cells\n"
 
 
 # random input: the lexers' alphabet, words of both grammars, and digit runs

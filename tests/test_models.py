@@ -82,6 +82,18 @@ def test_load_model_constants_and_empty_extension():
     assert all(m.pred_value("P", (x,)) is False for x in (0, 1))
 
 
+def test_table_cell_bound():
+    from nomlog.models import MAX_TABLE_CELLS
+
+    # (arity + 1) * 2**arity cells: 16 * 2**15 fit, 17 * 2**16 do not
+    assert 16 * 2**15 <= MAX_TABLE_CELLS < 17 * 2**16
+    assert len(load_model("carrier 0 1\npred P/15:").preds["P"]) == 2**15
+    with pytest.raises(ModelFormatError, match="more than"):
+        load_model("carrier 0 1\npred P/16:")
+    with pytest.raises(ModelFormatError, match="more than"):
+        OrdinaryModel((0, 1), preds={"P": {(0,) * 20: True}})
+
+
 def test_load_model_errors():
     with pytest.raises(ModelFormatError, match="no carrier"):
         load_model("pred P: 0")

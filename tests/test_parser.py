@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from nomlog import (
     All,
@@ -190,3 +190,33 @@ def test_printed_formula_reparses_to_the_same_formula(f):
     # x and y get indices no aN of the text has, so nothing is captured
     assert len(fa_formula(g)) == len(fa_formula(f))
     assert alpha_key(parse_formula(str(g), ctx=ctx)) == alpha_key(g)
+
+
+def test_error_offset_after_non_ascii_whitespace():
+    # U+3000 is whitespace of three UTF-8 bytes; the offset counts bytes
+    text = "P(a)\u3000&\u3000Q("
+    with pytest.raises(ParseError, match="expected a term, found 'end of input'") as e:
+        parse_formula(text)
+    assert e.value.offset == len(text.encode("utf-8")) == 13
+
+
+@given(st.lists(formulas(4), min_size=1, max_size=5), st.data())
+def test_memo_reads_sequents_as_whole_parses_do(fs, data):
+    texts = [str(_spelled(f)) for f in fs]
+    side = st.lists(st.sampled_from(texts), max_size=4).map(", ".join)
+    memo: dict = {}
+    read = (Signature(), AtomContext())
+    whole = (Signature(), AtomContext())
+    seen: dict = {}  # printed formula -> the object the memo gave for it
+    for _ in range(3):
+        text = f"{data.draw(side)} |- {data.draw(side)}"
+        try:
+            s = parse_sequent(text, *read, infer=True, memo=memo)
+        except ParseError as e:  # a spelled name may hold an aN of a later text
+            with pytest.raises(ParseError) as again:
+                parse_sequent(text, *whole, infer=True)
+            assert str(again.value) == str(e)
+            continue
+        assert str(s) == str(parse_sequent(text, *whole, infer=True))
+        for f in (*s.left, *s.right):
+            assert seen.setdefault(str(f), f) is f

@@ -145,3 +145,83 @@ def test_proof_nesting_limit():
     with pytest.raises(ParseError, match="nested deeper") as e:
         load_proof("(" * (MAX_NESTING + 1) + ")" * (MAX_NESTING + 1))
     assert e.value.offset == MAX_NESTING
+
+
+# -- one memo per load_proof call ------------------------------------------------
+
+# The root conclusion is read first, so P(a) and ~bot are in the memo when
+# the leaf's malformed conclusion is read.
+_AFTER_CACHED = (
+    '(NegR (concl "P(a) |- ~bot, P(a)") (principal "~bot")'
+    ' (premise (BotL (concl "{}"))))'
+)
+
+
+@pytest.mark.parametrize("concl, message", [
+    ("P(a |- P(a)", "expected ')', found '|-' (at byte 4)"),
+    ("P(a)) |- P(a)", "expected '|-', found ')' (at byte 4)"),
+    (") P(a) |- P(a)", "expected a formula, found ')' (at byte 0)"),
+    ("P(a) P(a) |- P(a)", "expected '|-', found 'P' (at byte 5)"),
+    ("P(a) |- P(a) |- bot", "trailing input starting with '|-' (at byte 13)"),
+    ("P(a), , bot |-", "expected a formula, found ',' (at byte 6)"),
+    ("bot |- P(a),", "expected a formula, found 'end of input' (at byte 12)"),
+    ("P(a), P(a, b) |- P(a)", "P expects 1 arguments, got 2 (at byte 6)"),
+    ("~bot, P(b, a) |- bot", "P expects 1 arguments, got 2 (at byte 6)"),
+])
+def test_malformed_conclusion_after_cached_formulas(concl, message):
+    with pytest.raises(DerivationError) as e:
+        load_proof(_AFTER_CACHED.format(concl))
+    assert str(e.value) == f"premises[0]: in (concl ...): {message}"
+    if "expects" not in message:  # the arity clash needs the file's P/1
+        with pytest.raises(ParseError) as fresh:
+            parse_sequent(concl)
+        assert str(fresh.value) == message
+
+
+def test_repeated_formula_text_is_one_object():
+    d = load_proof(
+        '(NegR (concl "Q |- ~P(a), Q") (principal "~P(a)")'
+        ' (premise (Ax (concl "Q, P(a) |- P(a), Q") (principal "P(a)"))))'
+    )
+    leaf = d.premises[0]
+    assert d.principal is d.conclusion.right[0]
+    assert leaf.principal is leaf.conclusion.left[1] is leaf.conclusion.right[0]
+    assert d.conclusion.left[0] is d.conclusion.right[1] is leaf.conclusion.left[0]
+    assert d.principal.body is not leaf.principal  # a subformula is not looked up
+
+
+def test_load_proof_calls_share_no_memo():
+    ctx = AtomContext()
+    text = '(Ax (concl "P(a) |- P(a)") (principal "P(a)"))'
+    first, second = load_proof(text, ctx=ctx), load_proof(text, ctx=ctx)
+    assert first.principal == second.principal
+    assert first.principal is not second.principal
+
+
+def _wide_proof(width: int) -> str:
+    """A valid derivation whose every sequent repeats a context of `width`
+    formulas: NegR, then AndL, then Ax."""
+    context = ", ".join(f"Q(a{i}, f(a{i + 1})), forall b. R(b, a{i})" for i in range(width))
+    return f'''
+    (NegR (concl "{context} |- ~(P(a0) & P(a1)), P(a0)") (principal "~(P(a0) & P(a1))")
+      (premise (AndL (concl "{context}, P(a0) & P(a1) |- P(a0)") (principal "P(a0) & P(a1)")
+        (premise (Ax (concl "{context}, P(a0), P(a1) |- P(a0)") (principal "P(a0)"))))))
+    '''
+
+
+def test_each_formula_object_is_keyed_at_most_once(monkeypatch):
+    import nomlog.syntax as syntax
+
+    keyed: dict[int, list] = {}  # id -> [formula, count]; holding f keeps its id unique
+    original = syntax.alpha_key
+
+    def counting(f):
+        keyed.setdefault(id(f), [f, 0])[1] += 1
+        return original(f)
+
+    monkeypatch.setattr(syntax, "alpha_key", counting)
+    text = _wide_proof(20)
+    check_derivation(load_proof(text))
+    assert keyed and max(count for _, count in keyed.values()) == 1
+    # 40 context formulas in each of three conclusions, read once each
+    assert len(keyed) < 60
