@@ -264,9 +264,8 @@ def _sides(text: str) -> list[list[str]] | None:
     formula texts of each side, or None if it has not one `|-`, unbalanced
     parentheses or an empty formula.  A text split wrongly only fails to
     read formula by formula."""
-    halves = text.split("|-")
     sides = []
-    for half in halves if len(halves) == 2 else ():
+    for half in text.split("|-"):
         pieces: list[str] = []
         depth = 0
         for part in half.split(","):
@@ -278,7 +277,7 @@ def _sides(text: str) -> list[list[str]] | None:
         if depth or ("" in pieces and pieces != [""]):
             return None
         sides.append(pieces if pieces != [""] else [])
-    return sides or None
+    return sides if len(sides) == 2 else None
 
 
 def parse_term(
@@ -314,7 +313,7 @@ def parse_sequent(
         try:
             return Sequent.of(*([_read(t, sig, ctx, infer, memo) for t in side] for side in sides))
         except ParseError:
-            pass
+            pass  # the whole parse below reports the error where it lies
     return _parse(text, sig, ctx, infer, _Parser.sequent)
 
 
