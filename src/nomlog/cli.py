@@ -8,12 +8,15 @@ model file (`eval`), and exhaustive countermodel search (`countermodel`).
 Exit status: 0 when the requested check succeeded, 1 when it ran but failed
 (a law has a counterexample, a proof is invalid, no countermodel exists),
 2 for unusable input — bad flags, parse errors, malformed files, or a search
-that would blow its work budget.
+that would blow its work budget.  `main(argv)` may be called repeatedly in one
+process and builds its parser once; a bad flag raises argparse's
+`SystemExit(2)` instead of returning 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from pathlib import Path
@@ -227,7 +230,11 @@ def _at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `nomlog` parser, built once and shared, so callers must not modify
+    it: `parse_args` writes only to the fresh namespace it returns, every
+    default is immutable, and the fixed `prog` ignores `sys.argv[0]`."""
     parser = argparse.ArgumentParser(
         prog="nomlog",
         description="first-order syntax with binding, proof checking, "

@@ -75,9 +75,10 @@ def load_proof(
     infer = sig is None
     sig = sig if sig is not None else Signature()
     ctx = ctx if ctx is not None else AtomContext()
-    ctx.reserve(text)
-    memo: dict[str, Formula] = {}  # each formula text of this file, read once
     toks = _lex_sexp(text)
+    # the file's words and decoded strings are one text, whose aN are reserved
+    ctx.reserve(" ".join(tok.text for tok in toks if tok.kind in ("word", "str")))
+    memo: dict[str, Formula] = {}  # each formula text of this file, read once
     tree, i = _parse_sexp(text, toks, 0)
     if toks[i].kind != "eof":
         raise ParseError("trailing input after proof", byte_at(text, toks[i].offset))

@@ -1,13 +1,18 @@
 """End-to-end runs of the command line interface via main(argv)."""
 
+import argparse
 import contextlib
 import io
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nomlog.cli import main
+from nomlog.cli import build_parser, main
 
 ROOT = Path(__file__).parent.parent
 
@@ -79,6 +84,55 @@ def test_check_proof_machine_counters(capsys):
     )
     code, out, _ = run(capsys, "check-proof", path)
     assert (code, out) == (0, f"valid (10 rule applications)\nconclusion: {conclusion}\n")
+
+
+# An atom spelled through a string escape: the file's aN are read from its
+# decoded strings, so a1 is reserved before b is named, as with a plain a1.
+_ESCAPED_A1 = (
+    r'(AndL (principal "P(a0, b) & Q(c)")'
+    r' (premise (Ax (concl "P(a0, b), Q(c), R(a\1) |- P(a0, b)"))))'
+)
+
+
+def test_escaped_atom_reads_as_the_plain_one(capsys, tmp_path):
+    outs = []
+    for name, text in (("escaped", _ESCAPED_A1), ("plain", _ESCAPED_A1.replace("\\", ""))):
+        path = tmp_path / f"{name}.prf"
+        path.write_text(text)
+        outs.append(run(capsys, "check-proof", "--format", "machine", str(path)))
+    assert outs[0] == outs[1]
+    code, out, _ = outs[0]
+    assert code == 0 and out.startswith("ok=true\nnodes=2\n")
+
+
+_STRING_ITEM = re.compile(r'\((concl|principal) "((?:[^"\\]|\\.)*)"\)')
+
+
+def _decoded(m: re.Match) -> str:
+    return re.sub(r"\\(.)", r"\1", m[2])
+
+
+@given(path=st.sampled_from(sorted((ROOT / "proofs").glob("*.prf"))), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_escaping_proof_strings_changes_nothing(tmp_path_factory, path, data):
+    text = path.read_text()
+    alphabet = sorted({c for m in _STRING_ITEM.finditer(text) for c in _decoded(m)})
+    # every character, or some; a quote or backslash must be escaped anyway
+    escaped = data.draw(st.just(set(alphabet)) | st.sets(st.sampled_from(alphabet)))
+    escaped = escaped | {'"', "\\"}
+
+    def escape(m):
+        body = "".join(f"\\{c}" if c in escaped else c for c in _decoded(m))
+        return f'({m[1]} "{body}")'
+
+    copy = tmp_path_factory.getbasetemp() / "escaped.prf"
+    copy.write_text(_STRING_ITEM.sub(escape, text))
+    outs = []
+    for p in (path, copy):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            outs.append((main(["check-proof", "--format", "machine", str(p)]), out.getvalue()))
+    assert outs[0] == outs[1]
 
 
 def test_check_proof_invalid(capsys, tmp_path):
@@ -289,6 +343,80 @@ def test_usage_error_exits_2():
         with pytest.raises(SystemExit) as e:
             main(argv)
         assert e.value.code == 2, argv
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    main(["parse", "bot"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["parse", "bot"]) == 0 and built == []
+    build_parser.__wrapped__()
+    assert built  # the counter sees a fresh build
+
+
+# Every subcommand, with and without --format machine, with explicit and
+# default values, and a usage error part-way through.
+REPLAY = [
+    ["parse", "P(a)"],
+    ["parse", "--kind", "sequent", "--format", "machine", "--sig", "s.sig", "P |- P"],
+    ["check-proof", "x.prf"],
+    ["check-proof", "--format", "machine", "--sig", "s.sig", "x.prf"],
+    ["check-axioms"],
+    ["check-axioms", "--algebra", "lifted", "--trials", "7", "--seed", "3",
+     "--carrier-size", "3", "--pool-size", "2", "--format", "machine"],
+    ["check-nba", "--format", "machine"],
+    ["check-nba", "--trials", "9", "--seed", "1", "--carrier-size", "1", "--pool-size", "3"],
+    ["check-axioms", "--carrier-size", "0"],
+    ["eval", "--model", "m.model", "--formula", "bot"],
+    ["eval", "--format", "machine", "--model", "m.model", "--formula", "P"],
+    ["countermodel", "--sequent", "P(a) |- P(b)"],
+    ["countermodel", "--format", "machine", "--sequent", "P |- bot", "--max-size", "2",
+     "--budget", "50"],
+    ["bridge-test"],
+    ["bridge-test", "--format", "machine", "--trials", "5", "--seed", "2", "--max-carrier", "1"],
+    ["parse", "bot"],
+]
+
+
+def _replay(parser) -> list:
+    outcomes = []
+    for argv in REPLAY:
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                outcomes.append(vars(parser.parse_args(argv)))
+        except SystemExit as e:
+            outcomes.append((e.code, err.getvalue()))
+    return outcomes
+
+
+def test_shared_parser_parses_as_a_fresh_one():
+    outcomes = _replay(build_parser())
+    assert outcomes == _replay(build_parser.__wrapped__())
+    assert outcomes[8][0] == 2 and outcomes[9]["command"] == "eval"
+
+
+def test_machine_format_does_not_stick(capsys):
+    argv = ["countermodel", "--sequent", "P(a) |- P(b)"]
+    code, out, _ = run(capsys, *argv, "--format", "machine")
+    assert code == 0 and "\nstats." in out
+    code, again, _ = run(capsys, *argv)
+    assert code == 0 and again == out[: out.index("stats.")]
+
+
+def test_one_shot_process_prints_what_main_prints(capsys):
+    argv = ["countermodel", "--sequent", "P(a) |- P(b)", "--format", "machine"]
+    code, out, _ = run(capsys, *argv)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-m", "nomlog.cli", *argv], capture_output=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (code, out.encode())
 
 
 def test_undecodable_file_exits_2(capsys, tmp_path):
