@@ -161,10 +161,8 @@ def check_all_intro(h: NominalPoset, x, y, a: Atom) -> str:
 
 def check_all_glb_pool(h: NominalPoset, x, a: Atom, u_pool: Sequence) -> str:
     """The quantifier is the meet of all pool instantiations."""
-    fold = h.top()
-    for u in u_pool:
-        fold = h.meet(fold, h.sub(x, a, u))
-    return PASS if h.eq(fold, h.uquant(a, x)) else FAIL
+    meet = h.fresh_glb(frozenset(), tuple(h.sub(x, a, u) for u in u_pool))
+    return PASS if h.eq(meet, h.uquant(a, x)) else FAIL
 
 
 # -- the suite -------------------------------------------------------------------

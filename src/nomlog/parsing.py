@@ -19,8 +19,7 @@ context has not handed out or read, every aN of the text included (see
 first use and checked for consistency.
 
 A text is lexed in one regex scan; tokens keep character indices, turned
-into byte offsets only for an error.  Given a memo, `parse_sequent` and
-`parse_formula` parse each top-level formula text once (see `parse_sequent`).
+into byte offsets only for an error.
 """
 
 from __future__ import annotations
@@ -251,14 +250,6 @@ def _parse(text: str, sig, ctx, infer, rule):
     return r
 
 
-def _read(text: str, sig: Signature, ctx: AtomContext, infer, memo: dict) -> Formula:
-    """The formula of `text`, parsed only if `memo` has not seen its stripped text."""
-    key = text.strip()
-    if key not in memo:
-        memo[key] = _parse(text, sig, ctx, infer, _Parser.formula)
-    return memo[key]
-
-
 def _sides(text: str) -> list[list[str]] | None:
     """A sequent text split at its top-level `,` and `|-` into the stripped
     formula texts of each side, or None if it has not one `|-`, unbalanced
@@ -289,31 +280,15 @@ def parse_term(
 
 def parse_formula(
     text: str, sig: Signature | None = None, ctx: AtomContext | None = None,
-    infer: bool | None = None, memo: dict[str, Formula] | None = None,
+    infer: bool | None = None,
 ) -> Formula:
-    """With a `memo`, as for `parse_sequent`."""
-    if memo is None or sig is None or ctx is None:
-        return _parse(text, sig, ctx, infer, _Parser.formula)
-    return _read(text, sig, ctx, infer, memo)
+    return _parse(text, sig, ctx, infer, _Parser.formula)
 
 
 def parse_sequent(
     text: str, sig: Signature | None = None, ctx: AtomContext | None = None,
-    infer: bool | None = None, memo: dict[str, Formula] | None = None,
+    infer: bool | None = None,
 ) -> Sequent:
-    """With a `memo` that only calls with this `sig` and `ctx` share, each
-    top-level formula text is parsed once and comes back as the same object:
-    a formula's parse depends only on its tokens and on names, reserved `aN`
-    and arities, which only grow.  A text that does not read formula by
-    formula is parsed whole, which reports its errors where they lie."""
-    sides = None if memo is None or sig is None or ctx is None else _sides(text)
-    if sides is not None:
-        if not all(t in memo for side in sides for t in side):
-            ctx.reserve(text)  # before naming anything, as a whole parse would
-        try:
-            return Sequent.of(*([_read(t, sig, ctx, infer, memo) for t in side] for side in sides))
-        except ParseError:
-            pass  # the whole parse below reports the error where it lies
     return _parse(text, sig, ctx, infer, _Parser.sequent)
 
 

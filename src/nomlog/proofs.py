@@ -10,8 +10,11 @@ Leaves need an explicit conclusion; for inner nodes an omitted conclusion is
 inferred from the premises by `sequents.infer_conclusion`, which reads the
 rule table upwards.  Parentheses nest at most `parsing.MAX_NESTING` deep.
 Loading does not check the proof; pass the result to `check_derivation`.
-It parses each distinct formula text of a file once: one memo, dropped when
-`load_proof` returns, serves every `(concl ...)` and `(principal ...)`.
+It parses each distinct formula text of a file once, into one object: a memo
+dropped when `load_proof` returns serves every `(concl ...)` and
+`(principal ...)`.  This is sound because the memo serves one `sig` and one
+`ctx`, and the file's `aN` are reserved before any string is read, so a parse
+depends only on its tokens and on names, indices and arities, which only grow.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import re
 from dataclasses import replace
 
 from .errors import ParseError, ProofFormatError
-from .parsing import MAX_NESTING, AtomContext, Token, byte_at
+from .parsing import MAX_NESTING, AtomContext, Token, _sides, byte_at
 from .parsing import parse_formula, parse_sequent, parse_term
-from .sequents import RULES, Derivation, arity_violation, infer_conclusion
+from .sequents import RULES, Derivation, Sequent, arity_violation, infer_conclusion
 from .syntax import Formula, Signature
 
 
@@ -78,10 +81,27 @@ def load_proof(
     toks = _lex_sexp(text)
     # the file's words and decoded strings are one text, whose aN are reserved
     ctx.reserve(" ".join(tok.text for tok in toks if tok.kind in ("word", "str")))
-    memo: dict[str, Formula] = {}  # each formula text of this file, read once
+    memo: dict[str, Formula] = {}  # each stripped formula text of this file, read once
     tree, i = _parse_sexp(text, toks, 0)
     if toks[i].kind != "eof":
         raise ParseError("trailing input after proof", byte_at(text, toks[i].offset))
+
+    def formula(arg: str) -> Formula:
+        key = arg.strip()
+        if key not in memo:
+            memo[key] = parse_formula(arg, sig, ctx, infer=infer)
+        return memo[key]
+
+    def sequent(arg: str) -> Sequent:
+        """Formula by formula; a text that does not read so is parsed whole,
+        which reports its errors where they lie."""
+        sides = _sides(arg)
+        if sides is not None:
+            try:
+                return Sequent.of(*([formula(t) for t in side] for side in sides))
+            except ParseError:
+                pass
+        return parse_sequent(arg, sig, ctx, infer=infer)
 
     def build(node, path: str) -> Derivation:
         if not isinstance(node, list) or not node or not isinstance(node[0], Token):
@@ -106,9 +126,9 @@ def load_proof(
             arg = item[1].text
             try:
                 if head == "concl":
-                    concl = parse_sequent(arg, sig, ctx, infer=infer, memo=memo)
+                    concl = sequent(arg)
                 elif head == "principal":
-                    principal = parse_formula(arg, sig, ctx, infer=infer, memo=memo)
+                    principal = formula(arg)
                 elif head == "witness":
                     witness = parse_term(arg, sig, ctx, infer=infer)
                 elif head == "eigen":

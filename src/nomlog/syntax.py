@@ -279,8 +279,10 @@ def print_term(r: Term) -> str:
     raise TypeError(f"not a term: {r!r}")
 
 
-def _needs_parens_under_neg(f: Formula) -> bool:
-    return isinstance(f, (And, All))
+def _grouped(f: Formula) -> str:
+    """`f` as a negated body or a left conjunct: a conjunction or a quantifier
+    there needs parentheses."""
+    return f"({print_formula(f)})" if isinstance(f, (And, All)) else print_formula(f)
 
 
 def print_formula(f: Formula) -> str:
@@ -294,15 +296,9 @@ def print_formula(f: Formula) -> str:
                 return former
             return f"{former}({', '.join(print_term(s) for s in args)})"
         case And(l, r):
-            ls = print_formula(l)
-            if isinstance(l, (And, All)):
-                ls = f"({ls})"
-            return f"{ls} & {print_formula(r)}"
+            return f"{_grouped(l)} & {print_formula(r)}"
         case Neg(b):
-            bs = print_formula(b)
-            if _needs_parens_under_neg(b):
-                bs = f"({bs})"
-            return f"~{bs}"
+            return f"~{_grouped(b)}"
         case All(a, b):
             return f"forall {a.name}. {print_formula(b)}"
     raise TypeError(f"not a formula: {f!r}")

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nomlog.cli import build_parser, main
 
@@ -516,6 +516,27 @@ def test_huge_tables_exit_2(capsys, tmp_path, text, name):
     assert err == f"error: table for {name} has more than 1048576 cells\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["countermodel", "--sequent=--"],
+    ["eval", "--model", "m.model", "--formula=--"],
+    ["check-proof", "--sig=--", "x.prf"],
+    ["bridge-test", "--trials=--"],
+    ["check-nba", "--seed=--"],
+    ["check-nba", "--format=--"],
+    ["check-axioms", "--algebra=--"],
+])
+def test_option_given_as_double_dash_exits_2(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as e:  # Python 3.13 keeps "--", which some options reject
+        code = e.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    if sys.version_info < (3, 13):  # these read `--name=--` as []
+        name = next(arg for arg in argv if arg.endswith("=--"))[:-3]
+        assert err == f"error: argument {name}: expected one argument\n"
+
+
 # random input: the lexers' alphabet, words of both grammars, and digit runs
 _PIECES = ["a", "b", "a1", "f", "P", "Q", "bot", "forall", "(", ")", ",", ".", "&", "~",
            "|-", "-", " ", "\n", '"', ";", "\\", "Ax", "concl", "premise", "é"]
@@ -527,6 +548,7 @@ _TEXT = st.lists(
 
 
 @given(text=_TEXT, as_proof=st.booleans())
+@example(text="--", as_proof=False)
 @settings(max_examples=40, deadline=None)
 def test_any_text_ends_in_an_exit_status(tmp_path_factory, text, as_proof):
     path = tmp_path_factory.getbasetemp() / "random.prf"

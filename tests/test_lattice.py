@@ -95,14 +95,12 @@ def test_suite_is_green_on_lifted_instances(size):
         assert rows["AllGlbPool"].skipped > 0 and rows["AllGlbPool"].passed == 0
 
 
+# a glb that drops the fresh set A
+UNFRESH = replace(H, name="broken", fresh_glb=lambda A, X: fresh_glb_lift(TWO, (), X))
+
+
 def test_suite_catches_a_glb_that_ignores_freshening():
-    broken = lifted_nba(TWO, POOL)
-    bad = replace(
-        broken,
-        name="broken",
-        fresh_glb=lambda A, X: fresh_glb_lift(TWO, (), X),  # drops the A
-    )
-    reports = {r.name: r for r in run_nba_suite(bad, trials=200, seed=0)}
+    reports = {r.name: r for r in run_nba_suite(UNFRESH, trials=200, seed=0)}
     offenders = [n for n in ("AllInst", "AllIntro", "AllGlbPool") if reports[n].failed]
     assert offenders, "a glb that ignores the fresh set went unnoticed"
     assert reports[offenders[0]].counterexample
@@ -112,4 +110,5 @@ def test_glb_pool_law_directly():
     u_pool = enumerate_lifted(TWO, POOL[:3], TWO)
     assert check_all_glb_pool(H, IS_A, a, u_pool) == "pass"
     assert check_all_glb_pool(H, IS_A, b, u_pool) == "pass"
+    assert check_all_glb_pool(UNFRESH, IS_A, a, u_pool) == "fail"
 

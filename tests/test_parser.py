@@ -17,7 +17,9 @@ from nomlog import (
     parse_sequent,
     parse_signature,
     parse_term,
+    load_proof,
 )
+from nomlog.errors import ProofFormatError
 from nomlog.parsing import print_signature
 from nomlog.syntax import alpha_key, fa_formula
 
@@ -202,21 +204,28 @@ def test_error_offset_after_non_ascii_whitespace():
 
 @given(st.lists(formulas(4), min_size=1, max_size=5), st.data())
 def test_memo_reads_sequents_as_whole_parses_do(fs, data):
-    texts = [str(_spelled(f)) for f in fs]
+    # "~" splits but does not read formula by formula; "P(a0, a1)" clashes with P/1
+    texts = [str(_spelled(f)) for f in fs] + ["~", "P(a0, a1)"]
     side = st.lists(st.sampled_from(texts), max_size=4).map(", ".join)
-    memo: dict = {}
-    read = (Signature(), AtomContext())
+    concls = [f"{data.draw(side)} |- {data.draw(side)}" for _ in range(3)]
+    # three nodes, read root first, each with one of the conclusions
+    proof = '(NegR (concl "{}") (premise (NegR (concl "{}") (premise (Ax (concl "{}"))))))'
+    paths = ["root", "premises[0]", "premises[0].premises[0]"]
     whole = (Signature(), AtomContext())
-    seen: dict = {}  # printed formula -> the object the memo gave for it
-    for _ in range(3):
-        text = f"{data.draw(side)} |- {data.draw(side)}"
-        try:
-            s = parse_sequent(text, *read, infer=True, memo=memo)
-        except ParseError as e:  # a spelled name may hold an aN of a later text
-            with pytest.raises(ParseError) as again:
+    whole[1].reserve(" ".join(concls))  # load_proof reserves its file first
+    try:
+        d = load_proof(proof.format(*concls))
+    except ProofFormatError as e:
+        for path, text in zip(paths, concls):
+            try:
                 parse_sequent(text, *whole, infer=True)
-            assert str(again.value) == str(e)
-            continue
+            except ParseError as again:
+                assert str(e) == f"{path}: in (concl ...): {again}"
+                return
+        raise AssertionError(f"{e} has no whole parse error")
+    seen: dict = {}  # printed formula -> the object load_proof gave for it
+    for node, text in zip((d, d.premises[0], d.premises[0].premises[0]), concls):
+        s = node.conclusion
         assert str(s) == str(parse_sequent(text, *whole, infer=True))
         for f in (*s.left, *s.right):
             assert seen.setdefault(str(f), f) is f
