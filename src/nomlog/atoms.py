@@ -13,6 +13,7 @@ order reaches output or a random draw.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Generic, Iterable, TypeVar
 
@@ -113,6 +114,12 @@ class Perm:
 
 def swap(a: Atom, b: Atom) -> Perm:
     """The transposition exchanging a and b."""
+    return _swap(a.index, a.display, b.index, b.display)
+
+
+@functools.lru_cache(maxsize=256)  # keyed on display too: atoms equal by index may print apart
+def _swap(i: int, x: str | None, j: int, y: str | None) -> Perm:
+    a, b = Atom(i, x), Atom(j, y)
     return Perm.from_map({a: b, b: a})
 
 

@@ -80,12 +80,9 @@ def rand_lifted(
     pool: Sequence[Atom],
     values: Sequence,
 ) -> LiftedElem:
-    carrier = tuple(carrier)
+    carrier, values = tuple(carrier), tuple(values)
     deps = rand_subset(rng, pool, 2)  # at most two dependencies
-    table = tuple(
-        rng.choice(tuple(values))
-        for _ in range(len(carrier) ** len(deps))
-    )
+    table = tuple(rng.choice(values) for _ in range(len(carrier) ** len(deps)))
     return canonicalize(LiftedElem(carrier, deps, table))
 
 

@@ -12,8 +12,8 @@ Which atoms each subterm's table ranges over is fixed by the syntax, so
 `TablePlan(x, size)` compiles a term, formula or sequent, for carriers of one
 size, into a straight-line list of steps over registers: each register a
 table over its subterm's free atoms, not canonicalized, and every
-realignment a `lifting._gather` index tuple taken at compile time.  Each
-step holds the `lifting` table kernel that fills its register, and `run_plan`
+realignment a cached `lifting._reader`, taken at compile time.  Each step
+holds the `lifting` table kernel that fills its register, and `run_plan`
 compiles for one model's carrier and calls the kernels in a loop on that
 model; only the tables a caller gets back are canonicalized.
 
@@ -43,10 +43,10 @@ from operator import gt
 from typing import Iterable, Iterator
 
 from .atoms import Atom, ascending
-from .errors import SearchBudgetError
-from .lifting import LiftedElem, _gather, canonicalize, dump_lifted, eval_at, first_gap
+from .errors import NomlogError, SearchBudgetError
+from .lifting import LiftedElem, _reader, canonicalize, dump_lifted, eval_at, first_gap
 from .lifting import apply_cells, fold_cells, meet_blocks, negate_cells
-from .models import OrdinaryModel, Valuation, dump_model, eval_formula, eval_term
+from .models import MAX_TABLE_CELLS, OrdinaryModel, Valuation, dump_model, eval_formula, eval_term
 from .sequents import Sequent, fa_sequent
 from .syntax import (
     All,
@@ -74,10 +74,12 @@ class TablePlan:
     step: (kernel, register, slot, inputs).  The kernel is a `lifting` table
     kernel and `args[slot]` its argument: `all` or `any` for a fold, `size`
     for a quantifier's blocks, or a symbol (kind, name, arity), whose table
-    `run_plan` looks up per model.  Each input is a (register, gather) pair,
-    where a gather of None reads the register as it is.  `outputs` are the
+    `run_plan` looks up per model.  Each input is a (register, reader) pair,
+    the reader being the register's compiled `lifting` realignment to the
+    step's deps, or None to read the register as it is.  `outputs` are the
     registers of the term or formula, or of a sequent's left glb and right
-    lub; then `compare` reads those two over the union of their deps.
+    lub; then `compare` reads those two over the union of their deps.  A
+    register of more than MAX_TABLE_CELLS cells raises NomlogError.
     """
 
     def __init__(self, x: Term | Formula | Sequent, size: int) -> None:
@@ -102,6 +104,7 @@ class TablePlan:
         it is new."""
         if key in self._numbered:
             return self._numbered[key], False
+        _check_width(self.size, len(deps))
         reg = len(self.deps)
         self.deps.append(deps)
         self.constants.append(constant)
@@ -109,9 +112,9 @@ class TablePlan:
             self._numbered[key] = reg
         return reg, True
 
-    def _read(self, reg: int, dst: tuple[int, ...]) -> tuple[int, tuple | None]:
+    def _read(self, reg: int, dst: tuple[int, ...]) -> tuple:
         src = self.deps[reg]
-        return reg, None if src == dst else _gather(self.size, src, dst)
+        return reg, None if src == dst else _reader(self.size, src, dst)
 
     def _emit(self, kernel, arg, key: tuple | None, parts: list[int]) -> int:
         deps = tuple(sorted({i for r in parts for i in self.deps[r]}))
@@ -175,6 +178,12 @@ class TablePlan:
         return self._emit(fold_cells, op, None, parts)
 
 
+def _check_width(size: int, width: int) -> None:
+    if size**width > MAX_TABLE_CELLS:
+        raise NomlogError(f"a table over {width} atoms at carrier size {size} has more than "
+                          f"{MAX_TABLE_CELLS} cells")
+
+
 def _parts(x: Term | Formula) -> tuple:
     match x:
         case App(_, args) | Pred(_, args):
@@ -186,8 +195,8 @@ def _parts(x: Term | Formula) -> tuple:
     return ()
 
 
-def _column(regs: list[tuple], reg: int, where: tuple | None):
-    return regs[reg] if where is None else map(regs[reg].__getitem__, where)
+def _column(regs: list[tuple], reg: int, reader):
+    return regs[reg] if reader is None else reader(regs[reg])
 
 
 def run_plan(x: Term | Formula | Sequent, model: OrdinaryModel) -> tuple[TablePlan, list[tuple]]:
@@ -451,7 +460,8 @@ def countermodel_search(
     to the sequent's free atoms), and at least the size itself, since each
     size builds a plan over its carrier; summed size by size, at the first size
     where the sum passes the budget the search refuses with
-    `SearchBudgetError` rather than silently running for hours.  A `stats`
+    `SearchBudgetError` rather than silently running for hours; so is a table
+    of more than MAX_TABLE_CELLS cells at max_size, with NomlogError.  A `stats`
     dict gets, per size searched, the models "estimated" and `_leaves`' counts.
     """
     sig = used_signature((*seq.left, *seq.right))
@@ -464,9 +474,12 @@ def countermodel_search(
         if total > budget:
             raise SearchBudgetError(f"search over budget at size {size}; budget is {budget}")
     stats = {} if stats is None else stats
+    # registers range over the same atoms at every size: check max_size's now
+    plan = TablePlan(seq, 1)
+    _check_width(max_size, max(map(len, plan.deps)))
     for size, n in estimated.items():
         counts = stats[size] = {"estimated": n, "tested": 0, "cut": 0, "symmetric": 0}
-        plan = TablePlan(seq, size)
+        plan = plan if size == 1 else TablePlan(seq, size)
         for regs, tables in _leaves(plan, sig, counts):
             if _has_gap(plan, regs):
                 return _countermodel(plan, regs, _model(size, tables))

@@ -10,14 +10,17 @@ Over a one-element carrier every element canonicalizes to a constant; that
 degenerate case is deliberately supported.
 
 Every operation first realigns its inputs to one common list of coordinates
-and then combines them cell by cell.  `_gather` computes each realignment,
+and then combines them cell by cell.  `_reader` compiles each realignment,
 the table position of every assignment to the common coordinates, from the
-carrier size and the two atom lists alone.  It is cached because the same
-few shapes recur for every model a search visits.  Only `eval_at`, which
-reads a single cell, computes a position itself.  The combining is done by
-four table kernels, `apply_cells`, `fold_cells`, `negate_cells` and
-`meet_blocks`; each takes the aligned columns and one argument, so the steps
-of `nomlog.interpret`'s compiled plans hold and call the same kernels.
+carrier size and the two atom lists alone, into a cached C-level reader
+(an `operator.itemgetter`) of those cells, as do `canonicalize`'s and
+`sub_lift`'s per-shape caches, since the same few shapes recur for every
+model a search visits and every instance a law suite draws.  Only
+`eval_at`, which reads a single cell, computes a position itself.  The
+combining is done by four table kernels, `apply_cells`, `fold_cells`,
+`negate_cells` and `meet_blocks`; each takes the aligned columns and one
+argument, so the steps of `nomlog.interpret`'s compiled plans hold and call
+the same kernels.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import not_
+from operator import add, attrgetter, itemgetter, not_
 from typing import Iterable, Sequence
 
 from .atoms import Atom, Carrier, Perm, ascending
@@ -49,28 +52,36 @@ class LiftedElem:
 
 
 _NO_ATOM = -1  # an index no atom has
+_index = attrgetter("index")
+
+
+def _getter(positions: Sequence[int]):
+    """A reader of these positions of a tuple, giving a tuple of one or none too."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    start = positions[0] if positions else 0
+    return itemgetter(slice(start, start + len(positions)))
 
 
 @functools.lru_cache(maxsize=1024)
-def _gather(k: int, src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...]:
-    """For each assignment to the atom indices `dst`, in product order, the
-    position of that assignment in a table over `src`.  A `src` atom missing
-    from `dst` is read at its first value; a `dst` atom missing from `src`
-    leaves the position unchanged."""
+def _reader(k: int, src: tuple[int, ...], dst: tuple[int, ...]):
+    """The reader of a table over the atom indices `src` at each assignment
+    to the atom indices `dst`, in product order.  A `src` atom missing from
+    `dst` is read at its first value; a `dst` atom missing from `src` leaves
+    the position unchanged."""
     strides = {i: k ** (len(src) - 1 - n) for n, i in enumerate(src)}
     positions = [0]
     for i in dst:
         stride = strides.get(i, 0)
         positions = [p + d * stride for p in positions for d in range(k)]
-    return tuple(positions)
+    return _getter(positions)
 
 
 def _spread(x: LiftedElem, dst: Sequence[Atom], src: Sequence[Atom] | None = None) -> tuple:
     """x's values at each assignment to `dst`, in product order, with x's
     coordinates named `src` (its own deps by default)."""
     src = x.deps if src is None else src
-    where = _gather(len(x.carrier), tuple(a.index for a in src), tuple(a.index for a in dst))
-    return tuple(map(x.values.__getitem__, where))
+    return _reader(len(x.carrier), tuple(map(_index, src)), tuple(map(_index, dst)))(x.values)
 
 
 # -- table kernels ------------------------------------------------------------
@@ -96,22 +107,21 @@ def meet_blocks(cols, n: int) -> tuple:
     return tuple(map(all, zip(*[iter(cols[0])] * n)))
 
 
+@functools.lru_cache(maxsize=64)
+def _pins(k: int, n: int) -> tuple:
+    """Per coordinate of a table over n atoms, the reader pinning it at its first value."""
+    src = tuple(range(n))
+    return tuple(_reader(k, src, (*src[:i], _NO_ATOM, *src[i + 1 :])) for i in range(n))
+
+
 def canonicalize(f: LiftedElem) -> LiftedElem:
     """f without the coordinates it does not genuinely depend on: those where
     reading the coordinate at its first value changes nothing."""
     if len(f.values) == 1:  # one cell, so no coordinate matters
         return LiftedElem(f.carrier, (), f.values) if f.deps else f
-    k = len(f.carrier)
-    src = tuple(a.index for a in f.deps)
-
-    def read(dst: tuple[int, ...]) -> tuple:
-        return tuple(map(f.values.__getitem__, _gather(k, src, dst)))
-
-    # Reading coordinate n through _NO_ATOM pins it at its first value.
-    kept = tuple(
-        a for n, a in enumerate(f.deps) if read((*src[:n], _NO_ATOM, *src[n + 1 :])) != f.values
-    )
-    return f if kept == f.deps else LiftedElem(f.carrier, kept, read(tuple(a.index for a in kept)))
+    pins = _pins(len(f.carrier), len(f.deps))
+    kept = tuple(a for a, pin in zip(f.deps, pins) if pin(f.values) != f.values)
+    return f if len(kept) == len(f.deps) else LiftedElem(f.carrier, kept, _spread(f, kept))
 
 
 def const_lift(carrier: Sequence[int], value) -> LiftedElem:
@@ -148,12 +158,26 @@ def eval_at(f: LiftedElem, v: Valuation) -> object:
 
 def perm_act_lift(p: Perm, f: LiftedElem) -> LiftedElem:
     """(p . f)(v) = f(p^-1 . v): rename the dependencies along p."""
-    if not f.deps:
+    images = tuple(map(p, f.deps))
+    if images == f.deps:  # p fixes every dep (a constant table included)
         return f
-    images = tuple(p(a) for a in f.deps)
     new_deps = ascending(images)
     # A bijective renaming of coordinates cannot create spurious ones.
     return LiftedElem(f.carrier, new_deps, _spread(f, new_deps, src=images))
+
+
+@functools.lru_cache(maxsize=1024)
+def _sub_plan(k: int, src: tuple[int, ...], a: int, g_src: tuple[int, ...]) -> tuple:
+    """For f over the atom indices `src` and g over `g_src`: the reader of the
+    result's deps from f's deps then g's (f's first, as `ascending` keeps
+    them, but never f's a), and the readers of f and g over those deps."""
+    at = {i: len(src) + n for n, i in enumerate(g_src)}
+    at.update((i, n) for n, i in enumerate(src) if i != a)
+    deps = tuple(sorted(at))
+    # f's a, renamed apart from g's own a, varies fastest: k positions per cell
+    f_src = tuple(_NO_ATOM if i == a else i for i in src)
+    return (_getter([at[i] for i in deps]), _reader(k, f_src, (*deps, _NO_ATOM)),
+            _reader(k, g_src, deps))
 
 
 def sub_lift(f: LiftedElem, a: Atom, g: LiftedElem) -> LiftedElem:
@@ -163,15 +187,13 @@ def sub_lift(f: LiftedElem, a: Atom, g: LiftedElem) -> LiftedElem:
     if a not in f.deps:
         return f
     k = len(f.carrier)
-    deps = ascending((*(b for b in f.deps if b != a), *g.deps))
-    # f is read with a renamed to _NO_ATOM varying fastest, so each cell over
-    # deps owns k positions, one per value of a; the rename keeps a apart
-    # from g's own a when a is in g.deps.
-    src = tuple(_NO_ATOM if b == a else b.index for b in f.deps)
-    where = _gather(k, src, (*(b.index for b in deps), _NO_ATOM))
-    elem_pos = {x: i for i, x in enumerate(f.carrier)}
-    values = tuple(f.values[where[n * k + elem_pos[y]]] for n, y in enumerate(_spread(g, deps)))
-    return canonicalize(LiftedElem(f.carrier, deps, values))
+    pick, read_f, read_g = _sub_plan(k, tuple(map(_index, f.deps)), a.index,
+                                     tuple(map(_index, g.deps)))
+    cells = read_f(f.values)
+    # cell n over deps reads f at position n * k + (the position of g's value)
+    where = map(add, range(0, len(cells), k), map(f.carrier.index, read_g(g.values)))
+    values = tuple(map(cells.__getitem__, where))
+    return canonicalize(LiftedElem(f.carrier, pick((*f.deps, *g.deps)), values))
 
 
 def first_gap(f: LiftedElem, g: LiftedElem) -> Valuation | None:
@@ -214,7 +236,7 @@ def fresh_glb_lift(
     # With the bound atoms varying fastest, each cell over deps is the meet
     # of one run of k^|bound| cells of the inputs' meet.
     meet = fold_cells([_spread(x, (*deps, *bound)) for x in xs], all)
-    values = meet_blocks([meet], len(carrier) ** len(bound))
+    values = meet_blocks([meet], len(carrier) ** len(bound)) if bound else meet
     return canonicalize(LiftedElem(carrier, deps, values))
 
 

@@ -4,32 +4,70 @@ This is the definition the compiled table plans of `nomlog.interpret` must
 agree with: every node is denoted by the lifting operation for its
 connective, on the canonical tables of its parts.
 
-The operations that combine tables are written out here as direct loops over
-frozensets of atoms, put in order with `sorted` rather than with
-`nomlog.atoms.ascending`, independently of the table kernels that
-`nomlog.lifting` and the compiled plans share, so a fault in a kernel cannot
-hide on both sides of a comparison.  Only the realignment (`_spread`,
-`_gather`) and `canonicalize` come from `nomlog.lifting`.
+The operations, `canonicalize` included, are written out here from their
+pointwise definitions: every cell is read with `eval_at` at a valuation
+built with `itertools.product`, and atoms are put in order with `sorted`
+over frozensets rather than with `nomlog.atoms.ascending`.  Nothing here
+shares the compiled readers, cached shapes or table kernels of
+`nomlog.lifting`, so a fault in them cannot hide on both sides of a
+comparison.
 """
 
 import itertools
 
 from nomlog.errors import ArityError, UnknownSymbolError
 from nomlog.interpret import Countermodel
-from nomlog.lifting import (
-    _NO_ATOM,
-    LiftedElem,
-    _gather,
-    _spread,
-    atm_lift,
-    bot_lift,
-    canonicalize,
-)
+from nomlog.lifting import LiftedElem, eval_at
 from nomlog.models import OrdinaryModel, Valuation
 from nomlog.sequents import Sequent
 from nomlog.syntax import All, And, App, Bot, Formula, Neg, Pred, Term, Var
 
+# -- realignment by valuations --------------------------------------------------------
+
+
+def _envs(carrier, deps):
+    """Every assignment of carrier elements to deps, as a dict, in product
+    order: the last atom varying fastest, as in a table."""
+    return [dict(zip(deps, row)) for row in itertools.product(carrier, repeat=len(deps))]
+
+
+def _at(f, env):
+    """f at the assignment `env`, reading a dep that env leaves out at the
+    carrier's first element."""
+    return eval_at(f, Valuation.of({**dict.fromkeys(f.deps, f.carrier[0]), **env}))
+
+
+def _table(carrier, deps, cell):
+    """The table over deps with value cell(env) at each assignment env."""
+    return LiftedElem(tuple(carrier), tuple(deps), tuple(map(cell, _envs(carrier, deps))))
+
+
+def canonicalize(f):
+    """f over the deps it genuinely depends on: those where some assignment
+    changes value when that dep alone is moved to the first element."""
+    first = f.carrier[0]
+    kept = [
+        a for a in f.deps
+        if any(_at(f, env) != _at(f, {**env, a: first}) for env in _envs(f.carrier, f.deps))
+    ]
+    return _table(f.carrier, kept, lambda env: _at(f, env))
+
+
+def atm_lift(carrier, a):
+    return canonicalize(LiftedElem(tuple(carrier), (a,), tuple(carrier)))
+
+
+def bot_lift(carrier):
+    return LiftedElem(tuple(carrier), (), (False,))
+
+
 # -- the table operations ---------------------------------------------------------
+
+
+def perm_act_lift(p, f):
+    """(p . f) at v is f at v . p: each dep a reads the value of p(a)."""
+    return _table(f.carrier, sorted(map(p, f.deps)),
+                  lambda env: _at(f, {a: env[p(a)] for a in f.deps}))
 
 
 def sub_lift(f, a, g):
@@ -37,23 +75,17 @@ def sub_lift(f, a, g):
         raise ValueError("substitution across different carriers")
     if a not in f.deps:
         return f
-    k = len(f.carrier)
-    deps = tuple(sorted((frozenset(f.deps) - {a}) | frozenset(g.deps)))
-    src = tuple(_NO_ATOM if b == a else b.index for b in f.deps)
-    where = _gather(k, src, (*(b.index for b in deps), _NO_ATOM))
-    elem_pos = {x: i for i, x in enumerate(f.carrier)}
-    values = tuple(f.values[where[n * k + elem_pos[y]]] for n, y in enumerate(_spread(g, deps)))
-    return canonicalize(LiftedElem(f.carrier, deps, values))
+    deps = sorted((frozenset(f.deps) - {a}) | frozenset(g.deps))
+    return canonicalize(_table(f.carrier, deps, lambda env: _at(f, {**env, a: _at(g, env)})))
 
 
 def first_gap(f, g):
     if f.carrier != g.carrier:
         raise ValueError("comparison across different carriers")
     deps = tuple(sorted(frozenset((*f.deps, *g.deps))))
-    rows = itertools.product(f.carrier, repeat=len(deps))
-    for row, x, y in zip(rows, _spread(f, deps), _spread(g, deps)):
-        if x and not y:
-            return Valuation.of(zip(deps, row))
+    for env in _envs(f.carrier, deps):
+        if _at(f, env) and not _at(g, env):
+            return Valuation.of(env)
     return None
 
 
@@ -67,15 +99,11 @@ def fresh_glb_lift(carrier, fresh, xs):
         raise ValueError("meet across different carriers")
     fresh = frozenset(fresh)
     used = frozenset(a for x in xs for a in x.deps)
-    deps = tuple(sorted(used - fresh))
-    bound = tuple(sorted(a for a in used if a in fresh))
-    block = len(carrier) ** len(bound)
-    spreads = [_spread(x, (*deps, *bound)) for x in xs]
-    values = tuple(
-        all(all(s[i : i + block]) for s in spreads)
-        for i in range(0, len(carrier) ** (len(deps) + len(bound)), block)
-    )
-    return canonicalize(LiftedElem(carrier, deps, values))
+    bound = _envs(carrier, sorted(used & fresh))
+    return canonicalize(_table(
+        carrier, sorted(used - fresh),
+        lambda env: all(_at(x, {**env, **b}) for b in bound for x in xs),
+    ))
 
 
 def lift_fn(model, name, args):
@@ -101,9 +129,8 @@ def lift_pred(model, name, args):
 def _apply_table(carrier, table, args):
     if any(x.carrier != carrier for x in args):
         raise ValueError("application across different carriers")
-    deps = tuple(sorted(frozenset(a for x in args for a in x.deps)))
-    keys = zip(*(_spread(x, deps) for x in args)) if args else [()]
-    return canonicalize(LiftedElem(carrier, deps, tuple(table[key] for key in keys)))
+    deps = sorted(frozenset(a for x in args for a in x.deps))
+    return canonicalize(_table(carrier, deps, lambda env: table[tuple(_at(x, env) for x in args)]))
 
 
 # -- the denotation -----------------------------------------------------------------

@@ -49,6 +49,15 @@ def test_swap_and_identity():
     assert Perm.identity()(a) == a
 
 
+def test_swap_acts_with_the_atoms_of_each_call():
+    # atoms equal by index may print apart, so a swap made earlier for the
+    # same indices must not lend its atoms to a later one
+    assert str(swap(Atom(0, "x"), Atom(1, "y"))) == "(x y) (y x)"
+    s = swap(Atom(0, "p"), Atom(1, "q"))
+    assert str(s) == "(p q) (q p)"
+    assert s(Atom(0)).name == "q" and s(Atom(1)).name == "p"
+
+
 def test_perm_from_map_rejects_nonbijections():
     with pytest.raises(ValueError):
         Perm.from_map({a: b})  # b must map somewhere too

@@ -317,6 +317,23 @@ def test_budget_charges_each_size_at_least_its_size(capsys):
     assert (code, out) == (1, "found=no\n")
 
 
+def test_tables_past_the_cell_bound_exit_2(capsys, tmp_path):
+    # R(a) & ... & R(g) over ten elements needs a table of 10**7 cells
+    model = tmp_path / "ten.model"
+    model.write_text("carrier 0 1 2 3 4 5 6 7 8 9\npred R: 0\n")
+    wide = " & ".join(f"R({x})" for x in "abcdefg")
+    code, out, err = run(capsys, "eval", "--model", str(model), "--formula", wide)
+    assert (code, out) == (2, "")
+    assert err == "error: a table over 7 atoms at carrier size 10 has more than 1048576 cells\n"
+    # no free atom, so the budget charges little, but at size 20 the bound
+    # atoms need 20**7 cells: refused before searching sizes 1-7 for minutes
+    binders = "".join(f"forall {x}. " for x in "abcdefg")
+    code, out, err = run(capsys, "countermodel", "--sequent",
+                         f"{binders}{wide} |- forall h. R(h)", "--max-size", "20")
+    assert (code, out) == (2, "")
+    assert err == "error: a table over 7 atoms at carrier size 20 has more than 1048576 cells\n"
+
+
 def test_bridge_test(capsys):
     code, out, _ = run(capsys, "bridge-test", "--trials", "30")
     assert code == 0

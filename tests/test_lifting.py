@@ -192,6 +192,30 @@ def test_one_point_carrier_collapses():
     assert fresh_glb_lift(one, (a,), (top_lift(one),)) == top_lift(one)
 
 
+def test_one_cell_reads_are_tables():
+    # over a one-point carrier, or of a constant, a read is one cell, which
+    # every operation must still get as a table
+    one = (5,)
+    t, f = LiftedElem(one, (a,), (True,)), LiftedElem(one, (), (False,))
+    assert fresh_glb_lift(one, (a,), [t, t]) == top_lift(one)
+    assert first_gap(t, f) == Valuation.of({a: 5})
+    assert sub_lift(t, a, atm_lift(one, b)) == top_lift(one)
+    assert perm_act_lift(swap(a, b), LiftedElem(one, (a,), (7,))) == LiftedElem(one, (b,), (7,))
+    model = OrdinaryModel(TWO, funs={"f": {(0,): 1, (1,): 0}})
+    assert lift_fn(model, "f", [const_lift(TWO, 0)]) == const_lift(TWO, 1)
+
+
+def test_sub_lift_names_deps_by_the_atoms_of_each_call():
+    # f[a := g] with a in g.deps: index 0 is named by g's atom, never f's a,
+    # and each index by this call's atoms whatever an earlier call used
+    for x, y, p, r in (("x", "y", "p", "r"), ("u", "v", "w", "z")):
+        f = LiftedElem(TWO, (Atom(0, x), Atom(1, y)), (False, True, True, False))  # x != y
+        g = LiftedElem(TWO, (Atom(0, p), Atom(2, r)), (0, 0, 0, 1))  # min(p, r)
+        got = sub_lift(f, Atom(0), g)
+        assert [d.name for d in got.deps] == [p, y, r]
+        assert got.values == tuple((u & w) != v for u, v, w in itertools.product(TWO, repeat=3))
+
+
 def test_eval_at_errors():
     f = atm_lift(TWO, a)
     with pytest.raises(UnboundAtomError):
@@ -303,9 +327,10 @@ def same(x, y):
 @given(models(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_operations_match_the_oracle(model, data):
-    """Every operation built on the shared table kernels agrees with the
-    oracle's direct loops: values, deps, and which atom object names an
-    index that two inputs spell differently."""
+    """Every operation built on the compiled readers and table kernels
+    agrees with the oracle's valuation-by-valuation definitions: values,
+    deps, and which atom object names an index that two inputs spell
+    differently."""
     carrier = model.carrier
 
     def draw(values=(False, True), **kw):
@@ -316,7 +341,14 @@ def test_operations_match_the_oracle(model, data):
     fresh = data.draw(st.sets(st.sampled_from(NAMED), max_size=2))
     s, t = draw(values=carrier), draw(values=carrier)
     a = data.draw(st.sampled_from(NAMED))
+    # one display name per index, so the permutation is a bijection
+    named = [data.draw(st.sampled_from([x for x in NAMED if x.index == i])) for i in range(3)]
+    p = data.draw(perms(named))
     pairs = [
+        (canonicalize(f), oracle.canonicalize(f)),
+        (canonicalize(s), oracle.canonicalize(s)),
+        (perm_act_lift(p, f), oracle.perm_act_lift(p, f)),
+        (perm_act_lift(p, s), oracle.perm_act_lift(p, s)),
         (neg_lift(f), oracle.neg_lift(f)),
         (first_gap(f, g), oracle.first_gap(f, g)),
         (fresh_glb_lift(carrier, fresh, xs), oracle.fresh_glb_lift(carrier, fresh, xs)),

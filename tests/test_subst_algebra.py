@@ -74,6 +74,8 @@ def test_lifted_algebras_pass():
     lambda pool: lifted_nba(range(2), pool),
 ], ids=["atoms", "terms", "formulas", "lifted", "lifted-bool"])
 def test_a_one_shot_pool_gives_the_same_reports(factory):
+    once = factory(iter(POOL))
+    assert once.pool == once.term_algebra.pool == tuple(POOL)
     suites = [run_axiom_suite]
     if isinstance(factory(POOL), NominalPoset):
         suites.append(run_nba_suite)
