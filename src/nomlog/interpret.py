@@ -9,18 +9,20 @@ evaluation of the tables agrees with the usual valuation semantics
 with denotation.
 
 Which atoms each subterm's table ranges over is fixed by the syntax, so
-`TablePlan(x, size)` compiles a term, formula or sequent, for carriers of one
-size, into a straight-line list of steps over registers: each register a
-table over its subterm's free atoms, not canonicalized, and every
-realignment a cached `lifting._reader`, taken at compile time.  Each step
-holds the `lifting` table kernel that fills its register, and `run_plan`
-compiles for one model's carrier and calls the kernels in a loop on that
-model; only the tables a caller gets back are canonicalized.
+`TablePlan(x, size)` compiles a term, formula or sequent into a
+straight-line list of steps over registers: each register a table over its
+subterm's free atoms, not canonicalized.  Binding the plan to a carrier size
+takes every realignment as a cached `lifting._reader`; `bind` rebinds it to
+another size without walking the syntax again.  Each step holds the
+`lifting` table kernel that fills its register, and `run_plan` compiles for
+one model's carrier and calls the kernels in a loop on that model; only the
+tables a caller gets back are canonicalized.
 
 `countermodel_search` returns the first model, in `enumerate_models` order
 and carrier size by size, where the glb of the left side is not below the
-lub of the right side.  It walks the symbols' table choices as a tree, one
-level per symbol, and builds an `OrdinaryModel` only for the one it reports.
+lub of the right side.  It compiles the sequent once and rebinds the plan for
+each size.  It walks the symbols' table choices as a tree, one level per
+symbol, and builds an `OrdinaryModel` only for the one it reports.
 Each plan step runs at the level of the latest symbol it reads, once per
 choice of that table.  A subtree is cut once a settled left glb is all false,
 a settled right lub all true, or two settled sides have no gap.  Relabelling
@@ -29,9 +31,11 @@ least of its isomorphism class, and models a relabelling would move earlier
 are skipped: each level keeps the permutations tied with the identity so far,
 skips a table whose image under one comes first, and drops those whose image
 comes later (the lex-leader scheme of Crawford, Ginsberg, Luks and Roy,
-KR 1996), on carriers up to `SYMMETRY_MAX_SIZE`.  A caller's `stats` dict
-gets, per size, the models estimated (`count_models`, an upper bound on the
-work), tested for a gap, cut, and skipped as symmetric.
+KR 1996), on carriers up to `SYMMETRY_MAX_SIZE`.  The check reads a table's
+ranks, each image through one compiled reader, so only the tables it keeps
+are built.  A caller's `stats` dict gets, per size, the models estimated
+(`count_models`, an upper bound on the work), tested for a gap, cut, and
+skipped as symmetric.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from typing import Iterable, Iterator
 
 from .atoms import Atom, ascending
 from .errors import NomlogError, SearchBudgetError
-from .lifting import LiftedElem, _reader, canonicalize, dump_lifted, eval_at, first_gap
+from .lifting import LiftedElem, _getter, _reader, canonicalize, dump_lifted, eval_at, first_gap
 from .lifting import apply_cells, fold_cells, meet_blocks, negate_cells
 from .models import MAX_TABLE_CELLS, OrdinaryModel, Valuation, dump_model, eval_formula, eval_term
 from .sequents import Sequent, fa_sequent
@@ -64,7 +68,7 @@ from .syntax import (
 
 
 class TablePlan:
-    """A term, formula or sequent compiled for carriers of one size.
+    """A term, formula or sequent compiled once, and bound to carriers of one size.
 
     Register r holds a table over the atom indices `deps[r]`, ascending, in
     product order and not canonicalized.  Each distinct subterm, keyed by its
@@ -74,37 +78,64 @@ class TablePlan:
     step: (kernel, register, slot, inputs).  The kernel is a `lifting` table
     kernel and `args[slot]` its argument: `all` or `any` for a fold, `size`
     for a quantifier's blocks, or a symbol (kind, name, arity), whose table
-    `run_plan` looks up per model.  Each input is a (register, reader) pair,
+    `run` looks up per model.  Each input is a (register, reader) pair,
     the reader being the register's compiled `lifting` realignment to the
     step's deps, or None to read the register as it is.  `outputs` are the
     registers of the term or formula, or of a sequent's left glb and right
-    lub; then `compare` reads those two over the union of their deps.  A
-    register of more than MAX_TABLE_CELLS cells raises NomlogError.
+    lub; then `compare` reads those two over the union of their deps.
+
+    The atoms each table ranges over do not depend on the carrier, so the
+    syntax is walked once, and `bind(size)` swaps in only the readers and the
+    quantifiers' block size for another carrier size.  `width` is the most
+    atoms a register or the comparison ranges over; binding to a size where
+    that passes MAX_TABLE_CELLS cells raises NomlogError.
     """
 
     def __init__(self, x: Term | Formula | Sequent, size: int) -> None:
-        self.size = size
         self.deps: list[tuple[int, ...]] = []
         self.constants: list = []  # the table of a constant register, else None
         self.variables: list[tuple[int, Atom]] = []  # registers holding the carrier
-        self.steps: list[tuple] = []
+        self._steps: list[tuple] = []  # each input as (register, the deps it is read at)
+        self._compare: tuple = ()
         self._numbered: dict[tuple, int] = {}
         self._slots: dict = {}  # kernel argument: its slot, in order of first use
         if isinstance(x, Sequent):
             left, right = self._side(all, x.left), self._side(any, x.right)
             union = tuple(sorted({*self.deps[left], *self.deps[right]}))
             self.outputs = (left, right)
-            self.compare = (self._read(left, union), self._read(right, union))
+            self._compare = ((left, union), (right, union))
         else:
             self.outputs = (self._node(x),)
-        self.args = list(self._slots)
+        self.width = max(map(len, (*self.deps, *(dst for _, dst in self._compare))))
+        self.bind(size)
+
+    def bind(self, size: int) -> None:
+        """Read the registers as tables over a carrier of `size` elements."""
+        _check_width(size, self.width)
+        self.size = size
+        self.args = [size if arg == "size" else arg for arg in self._slots]
+        self.steps = [(kernel, out, slot, self._readers(ins))
+                      for kernel, out, slot, ins in self._steps]
+        self.compare = self._readers(self._compare)
+
+    def _readers(self, reads: tuple) -> tuple:
+        deps, size = self.deps, self.size
+        return tuple((reg, None if deps[reg] == dst else _reader(size, deps[reg], dst))
+                     for reg, dst in reads)
+
+    def run(self, model: OrdinaryModel) -> list[tuple]:
+        """Every register's table in a model of the bound carrier size."""
+        args = [model.table(*arg) if isinstance(arg, tuple) else arg for arg in self.args]
+        regs = list(self.constants)
+        for reg, _ in self.variables:
+            regs[reg] = model.carrier
+        return _run(self.steps, regs, args)
 
     def _register(self, key: tuple | None, deps: tuple[int, ...], constant=None):
         """The register numbered `key` (a fresh one for None), and whether
         it is new."""
         if key in self._numbered:
             return self._numbered[key], False
-        _check_width(self.size, len(deps))
         reg = len(self.deps)
         self.deps.append(deps)
         self.constants.append(constant)
@@ -112,16 +143,12 @@ class TablePlan:
             self._numbered[key] = reg
         return reg, True
 
-    def _read(self, reg: int, dst: tuple[int, ...]) -> tuple:
-        src = self.deps[reg]
-        return reg, None if src == dst else _reader(self.size, src, dst)
-
     def _emit(self, kernel, arg, key: tuple | None, parts: list[int]) -> int:
         deps = tuple(sorted({i for r in parts for i in self.deps[r]}))
         reg, new = self._register(key, deps)
         if new:
             slot = self._slots.setdefault(arg, len(self._slots))
-            self.steps.append((kernel, reg, slot, tuple(self._read(r, deps) for r in parts)))
+            self._steps.append((kernel, reg, slot, tuple((r, deps) for r in parts)))
         return reg
 
     def _quantify(self, a: Atom, body: int) -> int:
@@ -131,8 +158,8 @@ class TablePlan:
         deps = tuple(i for i in src if i != a.index)
         reg, new = self._register(("all", a.index, body), deps)
         if new:  # read with a varying fastest, each output cell is one block
-            slot = self._slots.setdefault(self.size, len(self._slots))
-            self.steps.append((meet_blocks, reg, slot, (self._read(body, (*deps, a.index)),)))
+            slot = self._slots.setdefault("size", len(self._slots))
+            self._steps.append((meet_blocks, reg, slot, ((body, (*deps, a.index)),)))
         return reg
 
     def _node(self, x: Term | Formula) -> int:
@@ -203,11 +230,7 @@ def run_plan(x: Term | Formula | Sequent, model: OrdinaryModel) -> tuple[TablePl
     """x's plan for the model's carrier size, and every register's table in
     the model."""
     plan = TablePlan(x, len(model.carrier))
-    args = [model.table(*arg) if isinstance(arg, tuple) else arg for arg in plan.args]
-    regs = list(plan.constants)
-    for reg, _ in plan.variables:
-        regs[reg] = model.carrier
-    return plan, _run(plan.steps, regs, args)
+    return plan, plan.run(model)
 
 
 def _run(steps: list[tuple], regs: list, args: list) -> list:
@@ -304,12 +327,15 @@ def _levels(sig: Signature, size: int) -> list[tuple]:
     ]
 
 
-def _choices(keys: tuple, cells: tuple) -> Iterator[tuple[tuple, dict]]:
-    """Every table from `keys` to `cells` as (ranks, table), ranks[n] being
-    the position in `cells` of key n's value, in the order of the ranks: from
+def _choices(keys: tuple, cells: tuple) -> Iterator[tuple]:
+    """Every table from `keys` to `cells` as its ranks, ranks[n] being the
+    position in `cells` of key n's value, in the order of the ranks: from
     all-zero for functions and all-true for predicates."""
-    for ranks in itertools.product(range(len(cells)), repeat=len(keys)):
-        yield ranks, dict(zip(keys, map(cells.__getitem__, ranks)))
+    return itertools.product(range(len(cells)), repeat=len(keys))
+
+
+def _table(keys: tuple, cells: tuple, ranks: tuple) -> dict:
+    return dict(zip(keys, map(cells.__getitem__, ranks)))
 
 
 def _model(size: int, tables: dict) -> OrdinaryModel:
@@ -331,8 +357,8 @@ def enumerate_models(sig: Signature, size: int) -> Iterator[OrdinaryModel]:
             yield _model(size, tables)
             return
         sym, keys, cells = levels[i]
-        for _, table in _choices(keys, cells):
-            tables[sym] = table
+        for ranks in _choices(keys, cells):
+            tables[sym] = _table(keys, cells, ranks)
             yield from fill(i + 1)
 
     return fill(0)
@@ -341,14 +367,15 @@ def enumerate_models(sig: Signature, size: int) -> Iterator[OrdinaryModel]:
 SYMMETRY_MAX_SIZE = 5  # 119 permutations to compare each first-level table with
 
 
-def _relabel(p: tuple[int, ...], kind: str, keys: tuple) -> tuple[tuple, tuple]:
-    """Relabelling the carrier along p, on a table's ranks: the image's rank
-    at key n is values[ranks[positions[n]]].  A function's image sends p(x)
-    to p(f(x)), a predicate's holds at p(x) where it held at x."""
+def _relabel(p: tuple[int, ...], kind: str, keys: tuple) -> tuple:
+    """Relabelling the carrier along p, on a table's ranks, as (read, values):
+    the image's rank at key n is read(ranks)[n], mapped through `values` for a
+    function and kept for a predicate (values None).  A function's image sends
+    p(x) to p(f(x)), a predicate's holds at p(x) where it held at x."""
     where = {key: n for n, key in enumerate(keys)}
     inverse = sorted(range(len(p)), key=p.__getitem__)
-    positions = tuple(where[tuple(map(inverse.__getitem__, key))] for key in keys)
-    return positions, p if kind == "fun" else (0, 1)
+    read = _getter([where[tuple(map(inverse.__getitem__, key))] for key in keys])
+    return read, p if kind == "fun" else None
 
 
 def _still_tied(ranks: tuple, acts: list[tuple], tied: list[int]) -> list[int] | None:
@@ -356,8 +383,8 @@ def _still_tied(ranks: tuple, acts: list[tuple], tied: list[int]) -> list[int] |
     image, or None when one's image comes first."""
     kept = []
     for p in tied:
-        positions, values = acts[p]
-        image = tuple(map(values.__getitem__, map(ranks.__getitem__, positions)))
+        read, values = acts[p]
+        image = read(ranks) if values is None else tuple(map(values.__getitem__, read(ranks)))
         if image < ranks:
             return None
         if image == ranks:
@@ -404,12 +431,12 @@ def _leaves(plan: TablePlan, sig: Signature, counts: dict) -> Iterator[tuple[lis
             counts["cut"] += rest[i]
         else:
             sym, keys, cells = levels[i]
-            for ranks, table in _choices(keys, cells):
+            for ranks in _choices(keys, cells):
                 still = _still_tied(ranks, acts[i], tied)
                 if still is None:
                     counts["symmetric"] += rest[i + 1]
                     continue
-                args[slots[sym]] = tables[sym] = table
+                args[slots[sym]] = tables[sym] = _table(keys, cells, ranks)
                 _run(stages[i + 1], regs, args)
                 yield from walk(i + 1, still)
 
@@ -458,11 +485,12 @@ def countermodel_search(
 
     Work is estimated up front as (number of models) x (carrier assignments
     to the sequent's free atoms), and at least the size itself, since each
-    size builds a plan over its carrier; summed size by size, at the first size
+    size binds the plan to its carrier; summed size by size, at the first size
     where the sum passes the budget the search refuses with
-    `SearchBudgetError` rather than silently running for hours; so is a table
-    of more than MAX_TABLE_CELLS cells at max_size, with NomlogError.  A `stats`
-    dict gets, per size searched, the models "estimated" and `_leaves`' counts.
+    `SearchBudgetError` rather than silently running for hours; so is a table,
+    or the comparison of the sides, of more than MAX_TABLE_CELLS cells at
+    max_size, with NomlogError.  A `stats` dict gets, per size searched, the
+    models "estimated" and `_leaves`' counts.
     """
     sig = used_signature((*seq.left, *seq.right))
     n_free = len(fa_sequent(seq))
@@ -474,12 +502,13 @@ def countermodel_search(
         if total > budget:
             raise SearchBudgetError(f"search over budget at size {size}; budget is {budget}")
     stats = {} if stats is None else stats
-    # registers range over the same atoms at every size: check max_size's now
+    # tables range over the same atoms at every size: check max_size's now
     plan = TablePlan(seq, 1)
-    _check_width(max_size, max(map(len, plan.deps)))
+    _check_width(max_size, plan.width)
     for size, n in estimated.items():
         counts = stats[size] = {"estimated": n, "tested": 0, "cut": 0, "symmetric": 0}
-        plan = plan if size == 1 else TablePlan(seq, size)
+        if size > 1:
+            plan.bind(size)
         for regs, tables in _leaves(plan, sig, counts):
             if _has_gap(plan, regs):
                 return _countermodel(plan, regs, _model(size, tables))

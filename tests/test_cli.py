@@ -332,6 +332,13 @@ def test_tables_past_the_cell_bound_exit_2(capsys, tmp_path):
                          f"{binders}{wide} |- forall h. R(h)", "--max-size", "20")
     assert (code, out) == (2, "")
     assert err == "error: a table over 7 atoms at carrier size 20 has more than 1048576 cells\n"
+    # no register ranges over more than 4 atoms, but the gap comparison reads
+    # all 7; a countermodel exists at size 2, yet nothing is searched
+    code, out, err = run(capsys, "countermodel", "--sequent",
+                         "R(a) & R(b) & R(c) |- R(d) & R(e) & R(f) & R(g)",
+                         "--max-size", "8", "--budget", "10000000000")
+    assert (code, out) == (2, "")
+    assert err == "error: a table over 7 atoms at carrier size 8 has more than 1048576 cells\n"
 
 
 def test_bridge_test(capsys):

@@ -14,6 +14,7 @@ from nomlog import (
     Countermodel,
     LiftedElem,
     Neg,
+    NomlogError,
     Pred,
     SearchBudgetError,
     Valuation,
@@ -121,6 +122,15 @@ def test_sequent_holds():
     assert sequent_holds(m, parse_sequent("forall a. P(a) |- P(b)"))
     assert not sequent_holds(m, parse_sequent("P(a) |- forall a. P(a)"))
     assert sequent_holds(m, parse_sequent("|- ~bot"))
+
+
+def test_the_gap_comparison_is_bounded():
+    # no register ranges over more than 4 atoms, but the comparison reads the
+    # sides over all 7: 8**7 cells, twice MAX_TABLE_CELLS
+    seq = parse_sequent("R(a) & R(b) & R(c) |- R(d) & R(e) & R(f) & R(g)")
+    m = OrdinaryModel(range(8), preds={"R": {(x,): False for x in range(8)}})
+    with pytest.raises(NomlogError, match="table over 7 atoms at carrier size 8 "):
+        sequent_holds(m, seq)
 
 
 def test_count_and_enumerate_models():
@@ -243,6 +253,21 @@ small_sequents = st.one_of(
 )
 
 
+@given(small_sequents, models(sizes=(1, 2, 3, 4)))
+@settings(max_examples=100, deadline=None)
+def test_a_rebound_plan_runs_like_a_fresh_one(seq, model):
+    """The search compiles at size 1 and rebinds size by size."""
+    size = len(model.carrier)
+    plan = interpret.TablePlan(seq, 1)
+    for n in range(2, size + 1):
+        plan.bind(n)
+    fresh = interpret.TablePlan(seq, size)
+    regs, want = plan.run(model), fresh.run(model)
+    assert regs == want
+    assert ([interpret._column(regs, *read) for read in plan.compare]
+            == [interpret._column(want, *read) for read in fresh.compare])
+
+
 @given(small_sequents)
 @settings(max_examples=100, deadline=None)
 def test_search_matches_the_oracle_loop(seq):
@@ -350,6 +375,7 @@ def test_symmetry_keeps_exactly_the_least_models(names):
     phi = " & ".join(parts)
     seq = parse_sequent(f"{phi} |- {phi}")
     sig = used_signature(seq.left)
+    plan = interpret.TablePlan(seq, 1)  # compiled once and rebound, as the search does
     for size in (1, 2, 3):
         if count_models(sig, size) > 600:
             break
@@ -361,7 +387,8 @@ def test_symmetry_keeps_exactly_the_least_models(names):
                    for p in itertools.permutations(range(size)))
         }
         counts = dict.fromkeys(("tested", "cut", "symmetric"), 0)
-        walked = interpret._leaves(interpret.TablePlan(seq, size), sig, counts)
+        plan.bind(size)
+        walked = interpret._leaves(plan, sig, counts)
         kept = [dump_model(interpret._model(size, tables)) for _, tables in walked]
         assert kept == sorted(kept, key=order.get), phi
         assert set(kept) == least, (phi, size)
