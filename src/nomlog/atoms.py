@@ -20,7 +20,7 @@ from typing import Callable, Generic, Iterable, TypeVar
 T = TypeVar("T")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Atom:
     """A name, identified by its index alone; display is presentation only."""
 
@@ -42,6 +42,9 @@ class Atom:
 def ascending(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
     """The atoms by ascending index, keeping the first atom object seen for
     each index (which decides the display name when an index has two)."""
+    atoms = tuple(atoms)
+    if len(atoms) < 2:
+        return atoms
     first: dict[int, Atom] = {}
     for a in atoms:
         first.setdefault(a.index, a)

@@ -7,8 +7,8 @@ import random
 from typing import Sequence
 
 from .atoms import Atom, Perm, ascending
-from .lifting import LiftedElem, canonicalize
-from .models import OrdinaryModel, Valuation
+from .lifting import LiftedElem, _canonical
+from .models import OrdinaryModel, Valuation, check_width
 from .syntax import All, And, App, Bot, Formula, Neg, Pred, Signature, Term, Var
 
 
@@ -29,7 +29,7 @@ def rand_atom(rng: random.Random, pool: Sequence[Atom]) -> Atom:
 
 def rand_subset(rng: random.Random, pool: Sequence[Atom], max_size: int) -> tuple[Atom, ...]:
     size = rng.randint(0, min(max_size, len(pool)))
-    return ascending(rng.sample(tuple(pool), size))
+    return ascending(rng.sample(tuple(pool), size)) if size else ()  # sample draws none at 0
 
 
 def rand_perm(rng: random.Random, pool: Sequence[Atom]) -> Perm:
@@ -82,8 +82,9 @@ def rand_lifted(
 ) -> LiftedElem:
     carrier, values = tuple(carrier), tuple(values)
     deps = rand_subset(rng, pool, 2)  # at most two dependencies
-    table = tuple(rng.choice(values) for _ in range(len(carrier) ** len(deps)))
-    return canonicalize(LiftedElem(carrier, deps, table))
+    check_width(len(carrier), len(deps))
+    cells = map(rng.choice, itertools.repeat(values, len(carrier) ** len(deps)))
+    return _canonical(carrier, deps, tuple(cells))
 
 
 def rand_lifted_bool(

@@ -47,10 +47,10 @@ from operator import gt
 from typing import Iterable, Iterator
 
 from .atoms import Atom, ascending
-from .errors import NomlogError, SearchBudgetError
-from .lifting import LiftedElem, _getter, _reader, canonicalize, dump_lifted, eval_at, first_gap
+from .errors import SearchBudgetError
+from .lifting import LiftedElem, _canonical, _getter, _reader, dump_lifted, eval_at, first_gap
 from .lifting import apply_cells, fold_cells, meet_blocks, negate_cells
-from .models import MAX_TABLE_CELLS, OrdinaryModel, Valuation, dump_model, eval_formula, eval_term
+from .models import OrdinaryModel, Valuation, check_width, dump_model, eval_formula, eval_term
 from .sequents import Sequent, fa_sequent
 from .syntax import (
     All,
@@ -111,7 +111,7 @@ class TablePlan:
 
     def bind(self, size: int) -> None:
         """Read the registers as tables over a carrier of `size` elements."""
-        _check_width(size, self.width)
+        check_width(size, self.width)
         self.size = size
         self.args = [size if arg == "size" else arg for arg in self._slots]
         self.steps = [(kernel, out, slot, self._readers(ins))
@@ -205,12 +205,6 @@ class TablePlan:
         return self._emit(fold_cells, op, None, parts)
 
 
-def _check_width(size: int, width: int) -> None:
-    if size**width > MAX_TABLE_CELLS:
-        raise NomlogError(f"a table over {width} atoms at carrier size {size} has more than "
-                          f"{MAX_TABLE_CELLS} cells")
-
-
 def _parts(x: Term | Formula) -> tuple:
     match x:
         case App(_, args) | Pred(_, args):
@@ -255,7 +249,7 @@ def _canonical_outputs(plan: TablePlan, regs: list[tuple], carrier: tuple) -> li
     def settle(reg: int, atoms: Iterable[Atom]) -> None:
         named = {a.index: a for a in ascending(atoms)}
         deps = tuple(named.get(i) or Atom(i) for i in plan.deps[reg])
-        elems[reg] = canonicalize(LiftedElem(carrier, deps, regs[reg]))
+        elems[reg] = _canonical(carrier, deps, regs[reg])
 
     for reg, a in plan.variables:
         settle(reg, (a,))
@@ -504,7 +498,7 @@ def countermodel_search(
     stats = {} if stats is None else stats
     # tables range over the same atoms at every size: check max_size's now
     plan = TablePlan(seq, 1)
-    _check_width(max_size, plan.width)
+    check_width(max_size, plan.width)
     for size, n in estimated.items():
         counts = stats[size] = {"estimated": n, "tested": 0, "cut": 0, "symmetric": 0}
         if size > 1:

@@ -1,8 +1,10 @@
 """Finitely-dependent functions from valuations into a finite carrier.
 
-An element is a total table over carrier^deps, eagerly canonicalized so that
-`deps` is exactly the set of atoms the function depends on; structural
-equality then coincides with extensional equality.  Values are either
+An element is a total table over carrier^deps, built once and canonical at
+birth: an operation that may drop a coordinate hands its raw table to
+`_canonical`, which decides the kept coordinates on it and then builds the
+element, so `deps` is exactly the set of atoms the function depends on and
+structural equality coincides with extensional equality.  Values are either
 carrier elements (term-like elements) or booleans (truth values); all the
 operations below work uniformly except where noted.
 
@@ -13,9 +15,10 @@ Every operation first realigns its inputs to one common list of coordinates
 and then combines them cell by cell.  `_reader` compiles each realignment,
 the table position of every assignment to the common coordinates, from the
 carrier size and the two atom lists alone, into a cached C-level reader
-(an `operator.itemgetter`) of those cells, as do `canonicalize`'s and
+(an `operator.itemgetter`) of those cells, as do `_canonical`'s and
 `sub_lift`'s per-shape caches, since the same few shapes recur for every
-model a search visits and every instance a law suite draws.  Only
+model a search visits and every instance a law suite draws.  A reader of more
+than `models.MAX_TABLE_CELLS` cells is refused with NomlogError.  Only
 `eval_at`, which reads a single cell, computes a position itself.  The
 combining is done by four table kernels, `apply_cells`, `fold_cells`,
 `negate_cells` and `meet_blocks`; each takes the aligned columns and one
@@ -32,10 +35,10 @@ from operator import add, attrgetter, itemgetter, not_
 from typing import Iterable, Sequence
 
 from .atoms import Atom, Carrier, Perm, ascending
-from .models import OrdinaryModel, Valuation
+from .models import OrdinaryModel, Valuation, check_width
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiftedElem:
     """Total table over carrier^deps; values in product order, with the last
     dependency varying fastest."""
@@ -45,9 +48,10 @@ class LiftedElem:
     values: tuple
 
     def __post_init__(self) -> None:
-        if len(self.values) != len(self.carrier) ** len(self.deps):
+        deps = self.deps
+        if len(self.values) != len(self.carrier) ** len(deps):
             raise ValueError("table size does not match carrier^deps")
-        if any(a.index >= b.index for a, b in zip(self.deps, self.deps[1:])):
+        if len(deps) > 1 and any(a.index >= b.index for a, b in zip(deps, deps[1:])):
             raise ValueError("deps must be strictly ascending")
 
 
@@ -69,6 +73,7 @@ def _reader(k: int, src: tuple[int, ...], dst: tuple[int, ...]):
     to the atom indices `dst`, in product order.  A `src` atom missing from
     `dst` is read at its first value; a `dst` atom missing from `src` leaves
     the position unchanged."""
+    check_width(k, len(dst))
     strides = {i: k ** (len(src) - 1 - n) for n, i in enumerate(src)}
     positions = [0]
     for i in dst:
@@ -114,14 +119,22 @@ def _pins(k: int, n: int) -> tuple:
     return tuple(_reader(k, src, (*src[:i], _NO_ATOM, *src[i + 1 :])) for i in range(n))
 
 
+def _canonical(carrier: tuple, deps: tuple[Atom, ...], values: tuple) -> LiftedElem:
+    """The element with table `values` over carrier^deps, without the
+    coordinates it does not genuinely depend on: those where reading the
+    coordinate at its first value changes nothing."""
+    if len(values) == 1:  # one cell, so no coordinate matters
+        return LiftedElem(carrier, (), values)
+    k = len(carrier)
+    kept = tuple(a for a, pin in zip(deps, _pins(k, len(deps))) if pin(values) != values)
+    if len(kept) < len(deps):
+        values = _reader(k, tuple(map(_index, deps)), tuple(map(_index, kept)))(values)
+    return LiftedElem(carrier, kept, values)
+
+
 def canonicalize(f: LiftedElem) -> LiftedElem:
-    """f without the coordinates it does not genuinely depend on: those where
-    reading the coordinate at its first value changes nothing."""
-    if len(f.values) == 1:  # one cell, so no coordinate matters
-        return LiftedElem(f.carrier, (), f.values) if f.deps else f
-    pins = _pins(len(f.carrier), len(f.deps))
-    kept = tuple(a for a, pin in zip(f.deps, pins) if pin(f.values) != f.values)
-    return f if len(kept) == len(f.deps) else LiftedElem(f.carrier, kept, _spread(f, kept))
+    """f without the coordinates it does not genuinely depend on."""
+    return _canonical(f.carrier, f.deps, f.values)
 
 
 def const_lift(carrier: Sequence[int], value) -> LiftedElem:
@@ -139,7 +152,7 @@ def bot_lift(carrier: Sequence[int]) -> LiftedElem:
 def atm_lift(carrier: Sequence[int], a: Atom) -> LiftedElem:
     """The projection reading off the valuation at a."""
     carrier = tuple(carrier)
-    return canonicalize(LiftedElem(carrier, (a,), carrier))
+    return _canonical(carrier, (a,), carrier)
 
 
 def eval_at(f: LiftedElem, v: Valuation) -> object:
@@ -193,7 +206,7 @@ def sub_lift(f: LiftedElem, a: Atom, g: LiftedElem) -> LiftedElem:
     # cell n over deps reads f at position n * k + (the position of g's value)
     where = map(add, range(0, len(cells), k), map(f.carrier.index, read_g(g.values)))
     values = tuple(map(cells.__getitem__, where))
-    return canonicalize(LiftedElem(f.carrier, pick((*f.deps, *g.deps)), values))
+    return _canonical(f.carrier, pick((*f.deps, *g.deps)), values)
 
 
 def first_gap(f: LiftedElem, g: LiftedElem) -> Valuation | None:
@@ -235,9 +248,10 @@ def fresh_glb_lift(
     bound = tuple(a for a in used if a.index in fresh)
     # With the bound atoms varying fastest, each cell over deps is the meet
     # of one run of k^|bound| cells of the inputs' meet.
-    meet = fold_cells([_spread(x, (*deps, *bound)) for x in xs], all)
-    values = meet_blocks([meet], len(carrier) ** len(bound)) if bound else meet
-    return canonicalize(LiftedElem(carrier, deps, values))
+    k, dst = len(carrier), tuple(map(_index, (*deps, *bound)))
+    meet = fold_cells([_reader(k, tuple(map(_index, x.deps)), dst)(x.values) for x in xs], all)
+    values = meet_blocks([meet], k ** len(bound)) if bound else meet
+    return _canonical(carrier, deps, values)
 
 
 def lift_fn(model: OrdinaryModel, name: str, args: Sequence[LiftedElem]) -> LiftedElem:
@@ -255,7 +269,7 @@ def _apply_table(carrier: tuple[int, ...], table, args: Sequence[LiftedElem]) ->
         raise ValueError("application across different carriers")
     deps = ascending(a for x in args for a in x.deps)
     values = apply_cells([_spread(x, deps) for x in args], table)
-    return canonicalize(LiftedElem(carrier, deps, values))
+    return _canonical(carrier, deps, values)
 
 
 def dump_lifted(f: LiftedElem) -> str:
@@ -286,7 +300,7 @@ def enumerate_lifted(
             f"{len(tuple(values))}**{size} candidate tables is too many to enumerate"
         )
     for table in itertools.product(tuple(values), repeat=size):
-        elem = canonicalize(LiftedElem(carrier, pool, table))
+        elem = _canonical(carrier, pool, table)
         if elem not in seen:
             seen.add(elem)
             out.append(elem)

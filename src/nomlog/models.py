@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .atoms import Atom, Perm, ascending
-from .errors import ArityError, ModelFormatError, UnboundAtomError, UnknownSymbolError, read_int
+from .errors import (ArityError, ModelFormatError, NomlogError, UnboundAtomError,
+                     UnknownSymbolError, read_int)
 from .syntax import All, And, App, Bot, Formula, Neg, Pred, Signature, Term, Var
 
 MAX_TABLE_CELLS = 1 << 20
@@ -101,6 +102,14 @@ def _check_cells(name: str, n: int, arity: int) -> None:
     power is taken."""
     if (arity + 1) * n ** min(arity, 20) > MAX_TABLE_CELLS:
         raise ModelFormatError(f"table for {name} has more than {MAX_TABLE_CELLS} cells")
+
+
+def check_width(size: int, width: int) -> None:
+    """Refuse a lifted table over `width` atoms at carrier size `size` past
+    MAX_TABLE_CELLS cells."""
+    if size**width > MAX_TABLE_CELLS:
+        raise NomlogError(f"a table over {width} atoms at carrier size {size} has more than "
+                          f"{MAX_TABLE_CELLS} cells")
 
 
 @functools.lru_cache(maxsize=64)

@@ -11,6 +11,11 @@ over frozensets rather than with `nomlog.atoms.ascending`.  Nothing here
 shares the compiled readers, cached shapes or table kernels of
 `nomlog.lifting`, so a fault in them cannot hide on both sides of a
 comparison.
+
+The random draws of `nomlog.gen` that build tables are kept here as they were
+first written, one `rng.choice` per cell in a generator and the element built
+and then canonicalized, so that any faster way of drawing must make the same
+calls on the generator and return the same element.
 """
 
 import itertools
@@ -59,6 +64,24 @@ def atm_lift(carrier, a):
 
 def bot_lift(carrier):
     return LiftedElem(tuple(carrier), (), (False,))
+
+
+# -- the draws ----------------------------------------------------------------------
+
+
+def rand_subset(rng, pool, max_size):
+    """A size, then a sample of that size, in index order (the pools drawn
+    from hold one atom per index)."""
+    size = rng.randint(0, min(max_size, len(pool)))
+    return tuple(sorted(rng.sample(tuple(pool), size)))
+
+
+def rand_lifted(rng, carrier, pool, values):
+    """At most two deps, then one value per cell in table order."""
+    carrier, values = tuple(carrier), tuple(values)
+    deps = rand_subset(rng, pool, 2)
+    table = tuple(rng.choice(values) for _ in range(len(carrier) ** len(deps)))
+    return canonicalize(LiftedElem(carrier, deps, table))
 
 
 # -- the table operations ---------------------------------------------------------

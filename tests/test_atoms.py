@@ -16,6 +16,12 @@ def test_atom_display():
     assert Atom(3, "x") == Atom(3, "y")  # display is not identity
 
 
+def test_atom_validation_with_slots():
+    with pytest.raises(ValueError, match="non-negative"):
+        Atom(-1)
+    assert not hasattr(a, "__dict__")
+
+
 def test_frozenset_keeps_one_atom_per_index_first_seen():
     x, y = Atom(0, "x"), Atom(0, "y")
     s = frozenset((x, b, y))

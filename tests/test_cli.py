@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -339,6 +340,25 @@ def test_tables_past_the_cell_bound_exit_2(capsys, tmp_path):
                          "--max-size", "8", "--budget", "10000000000")
     assert (code, out) == (2, "")
     assert err == "error: a table over 7 atoms at carrier size 8 has more than 1048576 cells\n"
+
+
+def test_suite_tables_past_the_cell_bound_exit_2(capsys):
+    # pool atoms meet over 3 atoms at 300 elements (27,000,000 cells), and at
+    # 100,000 elements one drawn element of 2 atoms has 10**10 cells; both are
+    # refused before the table is built, so each exits at once.  At 33 elements
+    # the run would finish, but a meet over all 4 pool atoms passes the bound.
+    for argv, width, size in (
+        (("check-nba", "--carrier-size", "33"), 4, 33),
+        (("check-nba", "--carrier-size", "300"), 3, 300),
+        (("check-nba", "--carrier-size", "100000"), 2, 100000),
+        (("check-axioms", "--algebra", "lifted", "--carrier-size", "100000"), 2, 100000),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--trials", "1")
+        assert time.perf_counter() - start < 10
+        assert (code, out) == (2, "")
+        assert err == (f"error: a table over {width} atoms at carrier size {size} "
+                       "has more than 1048576 cells\n")
 
 
 def test_bridge_test(capsys):

@@ -2,6 +2,7 @@
 pointwise laws of the operations on them."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from nomlog import (
     LiftedElem,
     OrdinaryModel,
     UnboundAtomError,
+    NomlogError,
     UnknownSymbolError,
     Valuation,
     atm_lift,
@@ -23,8 +25,10 @@ from nomlog import (
     neg_lift,
     sub_lift,
 )
+from nomlog import gen
 from nomlog.atoms import swap
 from nomlog.lifting import (
+    _canonical,
     bot_lift,
     canonicalize,
     const_lift,
@@ -66,6 +70,11 @@ def test_constructor_validation():
         LiftedElem(TWO, (a,), (True,))
     with pytest.raises(ValueError, match="ascending"):
         LiftedElem(TWO, (b, a), (True, False, False, True))
+    with pytest.raises(ValueError, match="ascending"):  # one index twice
+        LiftedElem(TWO, (a, Atom(0, "x")), (True,) * 4)
+    with pytest.raises(ValueError, match="ascending"):  # only the last pair out of order
+        LiftedElem(TWO, (a, c, b), (True,) * 8)
+    assert not hasattr(LiftedElem(TWO, (), (True,)), "__dict__")  # slotted
 
 
 def test_atm_and_const_shapes():
@@ -362,3 +371,51 @@ def test_operations_match_the_oracle(model, data):
     ]
     for got, want in pairs:
         assert same(got, want)
+
+
+@given(st.integers(1, 3), st.booleans(), st.data())
+def test_canonical_builds_the_canonical_element(size, boolean, data):
+    """The element `_canonical` builds from a raw table is the canonical form of
+    that table, with each kept index named by the same atom object."""
+    carrier = tuple(range(size))
+    f = data.draw(lifted(carrier, values=(False, True) if boolean else carrier, pool=NAMED))
+    got = _canonical(f.carrier, f.deps, f.values)
+    for want in (canonicalize(f), oracle.canonicalize(f)):
+        assert got == want and all(x is y for x, y in zip(got.deps, want.deps, strict=True))
+
+
+@given(st.integers(0, 2**64), st.integers(1, 3), st.integers(0, 4), st.booleans(),
+       st.integers(0, 4))
+def test_draws_match_the_oracle(seed, size, pool_size, boolean, max_size):
+    """The generators make the same calls on the rng as the oracle's draws,
+    in the same order, and build the same elements from the same atoms."""
+    carrier = tuple(range(size))
+    pool = tuple(Atom(i, f"n{i}") for i in range(pool_size))
+    values = (False, True) if boolean else carrier
+    new, old = random.Random(seed), random.Random(seed)
+    for _ in range(4):
+        got = gen.rand_lifted(new, carrier, pool, values)
+        want = oracle.rand_lifted(old, carrier, pool, values)
+        assert got == want and all(x is y for x, y in zip(got.deps, want.deps, strict=True))
+        assert new.getstate() == old.getstate()
+    got, want = gen.rand_subset(new, pool, max_size), oracle.rand_subset(old, pool, max_size)
+    assert got == want and all(x is y for x, y in zip(got, want, strict=True))
+    assert new.getstate() == old.getstate()
+
+
+def test_lifted_tables_past_the_cell_bound_raise():
+    # each input has 33**2 cells, but their meet ranges over 4 atoms: 33**4 > 2**20
+    x, y = (LiftedElem(tuple(range(33)), deps, (True,) * 33**2)
+            for deps in ((a, b), (c, ATOMS[3])))
+    with pytest.raises(NomlogError, match="4 atoms at carrier size 33"):
+        fresh_glb_lift(range(33), (), (x, y))
+    # a draw of one dep has 1025 cells; one of two deps would have 1025**2,
+    # and is refused once its deps are drawn, before any cell is
+    carrier = tuple(range(1025))
+    rng, twin = random.Random(0), random.Random(0)
+    with pytest.raises(NomlogError, match="2 atoms at carrier size 1025"):
+        for _ in range(50):
+            gen.rand_lifted_elem(rng, carrier, ATOMS[:2])
+            oracle.rand_lifted(twin, carrier, ATOMS[:2], carrier)
+    assert len(oracle.rand_subset(twin, ATOMS[:2], 2)) == 2
+    assert rng.getstate() == twin.getstate()
