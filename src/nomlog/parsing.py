@@ -18,14 +18,14 @@ context has not handed out or read, every aN of the text included (see
 `AtomContext`).  With no signature, former arities are inferred from
 first use and checked for consistency.
 
-A text is lexed in one regex scan; tokens keep character indices, turned
-into byte offsets only for an error.
+A text is lexed by one regex `findall` into a list of strings; offsets are
+found by lexing it again only for an error.  The parser keeps pending
+constructs on explicit stacks, so nesting costs no Python frames.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .atoms import Atom
 from .errors import ParseError, read_int
@@ -35,7 +35,10 @@ from .syntax import All, And, App, Bot, Formula, Neg, Pred, Signature, Term, Var
 MAX_NESTING = 256
 _INDEXED = re.compile(r"^a(\d+)$")
 _INDEXED_IN = re.compile(r"\ba(\d+)\b")  # the aN identifiers of a text
-_TOKEN = re.compile(r"(\|-|[(),.&~])|([A-Za-z_][A-Za-z0-9_]*)|(\S)")
+# A token, or "" for a character that starts none.
+_LEX = re.compile(r"(\|-|[(),.&~]|[A-Za-z_][A-Za-z0-9_]*)|\S")
+_NOT_IDENT = frozenset(("|-", "(", ")", ",", ".", "&", "~", ""))
+_TOO_DEEP = f"input nested deeper than {MAX_NESTING} levels"
 
 
 class AtomContext:
@@ -69,185 +72,198 @@ class AtomContext:
         return self._named[name]
 
 
-class Token(NamedTuple):
-    kind: str  # ident ( ) , . & ~ |- eof here; ( ) str word eof in proof files
-    text: str
-    offset: int  # a character index; errors report it as a byte offset
-
-
 def byte_at(text: str, index: int) -> int:
     """The UTF-8 byte offset of text[index]."""
     return index if text.isascii() else len(text[:index].encode("utf-8"))
 
 
-def _lex(text: str) -> list[Token]:
-    toks: list[Token] = []
-    for m in _TOKEN.finditer(text):
-        if m.lastindex == 3:
-            raise ParseError(f"unexpected character {m[3]!r}", byte_at(text, m.start()))
-        toks.append(Token(m[1] or "ident", m[0], m.start()))
-    toks.append(Token("eof", "", len(text)))
-    return toks
-
-
 class _Parser:
-    def __init__(
-        self,
-        text: str,
-        sig: Signature | None,
-        ctx: AtomContext | None,
-        infer: bool | None = None,
-    ) -> None:
+    """The tokens of one text, read left to right by loops that keep pending
+    constructs on explicit stacks, not in Python frames.  A token is its text:
+    punctuation is its own kind, anything else an identifier, and "" ends the
+    input.  The caller reserves the text in `ctx` before reading it."""
+
+    def __init__(self, text: str, sig: Signature | None, ctx: AtomContext | None,
+                 infer: bool | None) -> None:
         self.text = text
-        self.toks = _lex(text)
+        self.toks = _LEX.findall(text)
+        if "" in self.toks:  # a character no token starts with
+            start = self.start(self.toks.index(""))
+            raise ParseError(f"unexpected character {text[start]!r}", byte_at(text, start))
+        self.toks.append("")
         self.i = 0
         self.infer = (sig is None) if infer is None else infer
         self.sig = sig if sig is not None else Signature()
         self.ctx = ctx if ctx is not None else AtomContext()
-        self.ctx.reserve(text)
-        self.depth = 0
 
-    def error(self, message: str, tok: Token) -> ParseError:
-        return ParseError(message, byte_at(self.text, tok.offset))
+    def start(self, k: int) -> int:
+        """The character index of token k, found by lexing again."""
+        return [*(m.start() for m in _LEX.finditer(self.text)), len(self.text)][k]
 
-    def peek(self) -> Token:
-        return self.toks[self.i]
+    def error(self, message: str, k: int) -> ParseError:
+        return ParseError(message, byte_at(self.text, self.start(k)))
 
-    def next(self) -> Token:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
+    def expect(self, kind: str, k: int) -> None:
+        t = self.toks[k]
+        if t in _NOT_IDENT if kind == "ident" else t != kind:
+            raise self.error(f"expected {kind!r}, found {t or 'end of input'!r}", k)
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise self.error(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok)
-        return self.next()
+    def read(self, rule):
+        r = rule(self)
+        if self.toks[self.i]:
+            raise self.error(f"trailing input starting with {self.toks[self.i]!r}", self.i)
+        return r
 
-    def deeper(self, tok: Token) -> None:
-        """Open one nesting level at `tok`; the caller closes it afterwards."""
-        if self.depth == MAX_NESTING:
-            raise self.error(f"input nested deeper than {MAX_NESTING} levels", tok)
-        self.depth += 1
-
-    def finish(self) -> None:
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise self.error(f"trailing input starting with {tok.text!r}", tok)
-
-    # -- formers ----------------------------------------------------------
-
-    def _check(self, table: dict[str, int], noun: str, tok: Token, arity: int) -> None:
-        """`tok`'s name, a `noun` of the signature's `table`, used with `arity` arguments."""
-        name = tok.text
+    def check(self, table: dict[str, int], noun: str, k: int, arity: int) -> None:
+        """Token k's name, a `noun` of the signature's `table`, used with `arity` arguments."""
+        name = self.toks[k]
         if self.infer:
             have = table.setdefault(name, arity)
         else:
             if name not in table:
-                raise self.error(f"unknown {noun} {name!r}", tok)
+                raise self.error(f"unknown {noun} {name!r}", k)
             have = table[name]
         if have != arity:
-            raise self.error(f"{name} expects {have} arguments, got {arity}", tok)
+            raise self.error(f"{name} expects {have} arguments, got {arity}", k)
+
+    def atom(self, k: int) -> Atom:
+        try:
+            return self.ctx.atom(self.toks[k])
+        except ParseError as exc:
+            raise self.error(str(exc), k) from None
 
     # -- terms -------------------------------------------------------------
 
-    def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.error(f"expected a term, found {tok.text or 'end of input'!r}", tok)
-        self.next()
-        if self.peek().kind == "(":
-            args = self.args()
-            self._check(self.sig.funs, "term former", tok, len(args))
-            return App(tok.text, args)
-        if not self.infer and self.sig.funs.get(tok.text) == 0:
-            return App(tok.text, ())
-        return Var(self.ctx.atom(tok.text, byte_at(self.text, tok.offset)))
+    def leaf(self, k: int) -> Term:
+        """The term token k spells when no argument list follows it."""
+        if not self.infer and self.sig.funs.get(self.toks[k]) == 0:
+            return App(self.toks[k], ())
+        return Var(self.atom(k))
 
-    def args(self) -> tuple[Term, ...]:
-        self.deeper(self.expect("("))
-        out = []
-        if self.peek().kind != ")":
-            out.append(self.term())
-            while self.peek().kind == ",":
-                self.next()
-                out.append(self.term())
-        self.expect(")")
-        self.depth -= 1
-        return tuple(out)
+    def term(self) -> Term:
+        i, t = self.i, self.toks[self.i]
+        if t in _NOT_IDENT:
+            raise self.error(f"expected a term, found {t or 'end of input'!r}", i)
+        if self.toks[i + 1] != "(":
+            self.i = i + 1
+            return self.leaf(i)
+        args, self.i = self.args(i + 1, 0)
+        self.check(self.sig.funs, "term former", i, len(args))
+        return App(t, args)
+
+    def args(self, i: int, depth: int) -> tuple[tuple[Term, ...], int]:
+        """The argument list whose `(` is token i, `depth` levels deep, and
+        the index past its `)`; each inner former is checked at its `)`."""
+        toks = self.toks
+        stack: list[tuple[int, list[Term]]] = []  # (former, arguments so far) per open list
+        while True:  # toks[i] is the "(" of the former at i - 1
+            if depth + len(stack) == MAX_NESTING:
+                raise self.error(_TOO_DEEP, i)
+            stack.append((i - 1, []))
+            i += 1
+            term = toks[i] != ")"
+            while True:
+                if term:
+                    t = toks[i]
+                    if t in _NOT_IDENT:
+                        raise self.error(f"expected a term, found {t or 'end of input'!r}", i)
+                    if toks[i + 1] == "(":
+                        i += 1
+                        break
+                    stack[-1][1].append(self.leaf(i))
+                    i += 1
+                if toks[i] == ",":
+                    i, term = i + 1, True
+                    continue
+                self.expect(")", i)
+                k, args = stack.pop()
+                i += 1
+                if not stack:
+                    return tuple(args), i
+                self.check(self.sig.funs, "term former", k, len(args))
+                stack[-1][1].append(App(toks[k], tuple(args)))
+                term = False
 
     # -- formulas ----------------------------------------------------------
 
     def formula(self) -> Formula:
-        left = self.unary()
-        if self.peek().kind == "&":
-            self.deeper(self.next())
-            right = self.formula()
-            self.depth -= 1
-            return And(left, right)
-        return left
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.deeper(self.next())
-            body = self.unary()
-            self.depth -= 1
-            return Neg(body)
-        if tok.kind == "ident" and tok.text == "forall":
-            self.deeper(self.next())
-            name = self.expect("ident")
-            self.expect(".")
-            # The binder is named before its body, so it takes the lower index.
-            atom = self.ctx.atom(name.text, byte_at(self.text, name.offset))
-            body = self.formula()
-            self.depth -= 1
-            return All(atom, body)
-        return self.atomic()
-
-    def atomic(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.deeper(self.next())
-            f = self.formula()
-            self.expect(")")
-            self.depth -= 1
-            return f
-        if tok.kind != "ident":
-            raise self.error(f"expected a formula, found {tok.text or 'end of input'!r}", tok)
-        self.next()
-        if tok.text == "bot":
-            return Bot()
-        if self.peek().kind == "(":
-            args = self.args()
-            self._check(self.sig.preds, "predicate", tok, len(args))
-            return Pred(tok.text, args)
-        self._check(self.sig.preds, "predicate", tok, 0)
-        return Pred(tok.text, ())
+        """Pending `~`s, binders, `(`s and left sides of `&` wait on a stack,
+        each as the constructor that will close it and what it holds.  Each
+        atomic formula takes the `~`s just above it; unless `&` follows, the
+        formula ends there, so all down to the nearest `(` folds into it."""
+        toks, i = self.toks, self.i
+        stack: list[tuple[type | None, object]] = []
+        while True:
+            t = toks[i]
+            if t == "~" or t == "(" or t == "forall":
+                if len(stack) == MAX_NESTING:
+                    raise self.error(_TOO_DEEP, i)
+                if t == "forall":
+                    self.expect("ident", i + 1)
+                    self.expect(".", i + 2)
+                    # The binder is named before its body, so it takes the lower index.
+                    stack.append((All, self.atom(i + 1)))
+                    i += 2
+                else:
+                    stack.append((Neg if t == "~" else None, None))
+                i += 1
+                continue
+            if t in _NOT_IDENT:
+                raise self.error(f"expected a formula, found {t or 'end of input'!r}", i)
+            i += 1
+            if t == "bot":
+                f: Formula = Bot()
+            elif toks[i] == "(":
+                args, j = self.args(i, len(stack))
+                self.check(self.sig.preds, "predicate", i - 1, len(args))
+                f, i = Pred(t, args), j
+            else:
+                self.check(self.sig.preds, "predicate", i - 1, 0)
+                f = Pred(t, ())
+            while True:
+                while stack and stack[-1][0] is Neg:
+                    stack.pop()
+                    f = Neg(f)
+                if toks[i] == "&":
+                    if len(stack) == MAX_NESTING:
+                        raise self.error(_TOO_DEEP, i)
+                    stack.append((And, f))
+                    i += 1
+                    break
+                while stack:
+                    close, held = stack.pop()
+                    if close is None:
+                        break
+                    f = Neg(f) if close is Neg else close(held, f)
+                else:
+                    self.i = i
+                    return f
+                self.expect(")", i)
+                i += 1
 
     # -- sequents ------------------------------------------------------------
 
     def formula_list(self) -> tuple[Formula, ...]:
-        if self.peek().kind in ("|-", "eof"):
+        if self.toks[self.i] in ("|-", ""):
             return ()
         out = [self.formula()]
-        while self.peek().kind == ",":
-            self.next()
+        while self.toks[self.i] == ",":
+            self.i += 1
             out.append(self.formula())
         return tuple(out)
 
     def sequent(self) -> Sequent:
         left = self.formula_list()
-        self.expect("|-")
+        self.expect("|-", self.i)
+        self.i += 1
         right = self.formula_list()
         return Sequent.of(left, right)
 
 
 def _parse(text: str, sig, ctx, infer, rule):
-    p = _Parser(text, sig, ctx, infer)
-    r = rule(p)
-    p.finish()
-    return r
+    p = _Parser(text, sig, ctx, infer)  # a bad character is reported before a bad aN
+    p.ctx.reserve(text)
+    return p.read(rule)
 
 
 def _sides(text: str) -> list[list[str]] | None:
@@ -309,9 +325,3 @@ def parse_signature(text: str) -> Signature:
             raise ParseError(f"conflicting arity for {name!r} on line {lineno}")
         table[name] = arity
     return sig
-
-
-def print_signature(sig: Signature) -> str:
-    lines = [f"fun {name}/{arity}" for name, arity in sorted(sig.funs.items())]
-    lines += [f"pred {name}/{arity}" for name, arity in sorted(sig.preds.items())]
-    return "\n".join(lines) + ("\n" if lines else "")

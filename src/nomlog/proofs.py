@@ -23,52 +23,52 @@ import re
 from dataclasses import replace
 
 from .errors import ParseError, ProofFormatError
-from .parsing import MAX_NESTING, AtomContext, Token, _sides, byte_at
-from .parsing import parse_formula, parse_sequent, parse_term
+from .parsing import MAX_NESTING, AtomContext, _Parser, _sides, byte_at
 from .sequents import RULES, Derivation, Sequent, arity_violation, infer_conclusion
 from .syntax import Formula, Signature
 
 
-# Whitespace, a comment, a parenthesis, a string, a word, or a quote that
-# opens no terminated string; every character is part of one of them.
+# Whitespace and comments, then a parenthesis, a string, a word, a quote that
+# opens no terminated string, or the end of the text.
 _SEXP_TOKEN = re.compile(
-    r'\s+|;[^\n]*|(?P<paren>[()])|"(?P<str>[^"\\]*(?:\\.[^"\\]*)*)"|(?P<word>[^\s()"]+)|"',
-    re.DOTALL,
+    r'(?:\s+|;[^\n]*)*+([()]|"[^"\\]*(?:\\.[^"\\]*)*"|[^\s()"]+|"|\Z)', re.DOTALL
 )
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
-def _lex_sexp(text: str) -> list[Token]:
-    toks: list[Token] = []
-    for m in _SEXP_TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is not None:
-            word = _ESCAPE.sub(r"\1", m[kind]) if kind == "str" else m[kind]
-            toks.append(Token(word if kind == "paren" else kind, word, m.start()))
-        elif m[0] == '"':
-            raise ParseError("unterminated string in proof file", byte_at(text, m.start()))
-    toks.append(Token("eof", "", len(text)))
+def _offset(text: str, k: int) -> int:
+    """The byte offset of token k of a proof file, found by lexing again."""
+    return byte_at(text, [m.start(1) for m in _SEXP_TOKEN.finditer(text)][k])
+
+
+def _lex_sexp(text: str) -> list[str]:
+    """The tokens of a proof file: `(`, `)`, words, strings with their quotes,
+    and "" at the end."""
+    toks = _SEXP_TOKEN.findall(text)
+    if '"' in toks:
+        raise ParseError("unterminated string in proof file", _offset(text, toks.index('"')))
     return toks
 
 
-def _parse_sexp(text: str, toks: list[Token], i: int, depth: int = 0):
-    tok = toks[i]
-    if tok.kind == "(":
-        if depth == MAX_NESTING:
-            raise ParseError(
-                f"proof nested deeper than {MAX_NESTING} parentheses", byte_at(text, tok.offset)
-            )
-        items = []
-        i += 1
-        while toks[i].kind != ")":
-            if toks[i].kind == "eof":
-                raise ParseError("unbalanced parenthesis in proof file", byte_at(text, tok.offset))
-            item, i = _parse_sexp(text, toks, i, depth + 1)
-            items.append(item)
-        return items, i + 1
-    if tok.kind in ("word", "str"):
-        return tok, i + 1
-    raise ParseError(f"unexpected token {tok.text!r} in proof file", byte_at(text, tok.offset))
+def _parse_sexp(text: str, toks: list[str]):
+    """The first s-expression of `toks` as nested lists whose leaves are the
+    indices of its words and strings, and the index past it."""
+    stack: list[tuple[int, list]] = []  # the index of each open `(`, and its items
+    for i, t in enumerate(toks):
+        if t == "(":
+            if len(stack) == MAX_NESTING:
+                raise ParseError(f"proof nested deeper than {MAX_NESTING} parentheses",
+                                 _offset(text, i))
+            stack.append((i, []))
+            continue
+        if t == "" and stack:
+            raise ParseError("unbalanced parenthesis in proof file", _offset(text, stack[-1][0]))
+        if t in (")", "") and not stack:
+            raise ParseError(f"unexpected token {t!r} in proof file", _offset(text, i))
+        node = stack.pop()[1] if t == ")" else i
+        if not stack:
+            return node, i + 1
+        stack[-1][1].append(node)
 
 
 def load_proof(
@@ -79,17 +79,19 @@ def load_proof(
     sig = sig if sig is not None else Signature()
     ctx = ctx if ctx is not None else AtomContext()
     toks = _lex_sexp(text)
+    words = [_ESCAPE.sub(r"\1", t[1:-1]) if t[0:1] == '"' else t for t in toks]
     # the file's words and decoded strings are one text, whose aN are reserved
-    ctx.reserve(" ".join(tok.text for tok in toks if tok.kind in ("word", "str")))
+    # here once: `_Parser`, unlike the public parsers, reserves nothing
+    ctx.reserve(" ".join(words))
     memo: dict[str, Formula] = {}  # each stripped formula text of this file, read once
-    tree, i = _parse_sexp(text, toks, 0)
-    if toks[i].kind != "eof":
-        raise ParseError("trailing input after proof", byte_at(text, toks[i].offset))
+    tree, i = _parse_sexp(text, toks)
+    if toks[i]:
+        raise ParseError("trailing input after proof", _offset(text, i))
 
     def formula(arg: str) -> Formula:
         key = arg.strip()
         if key not in memo:
-            memo[key] = parse_formula(arg, sig, ctx, infer=infer)
+            memo[key] = _Parser(arg, sig, ctx, infer).read(_Parser.formula)
         return memo[key]
 
     def sequent(arg: str) -> Sequent:
@@ -101,38 +103,41 @@ def load_proof(
                 return Sequent.of(*([formula(t) for t in side] for side in sides))
             except ParseError:
                 pass
-        return parse_sequent(arg, sig, ctx, infer=infer)
+        return _Parser(arg, sig, ctx, infer).read(_Parser.sequent)
 
     def build(node, path: str) -> Derivation:
-        if not isinstance(node, list) or not node or not isinstance(node[0], Token):
+        if not isinstance(node, list) or not node or not isinstance(node[0], int):
             raise ProofFormatError("malformed proof node", path)
-        rule = node[0].text
+        rule = words[node[0]]
         if rule not in RULES:
             raise ProofFormatError(f"unknown rule {rule!r}", path)
         concl = principal = witness = eigen = None
         premises: list[Derivation] = []
         for item in node[1:]:
-            if not isinstance(item, list) or not item or not isinstance(item[0], Token):
+            if not isinstance(item, list) or not item or not isinstance(item[0], int):
                 raise ProofFormatError(f"malformed item under {rule}", path)
-            head = item[0].text
+            head = words[item[0]]
             if head == "premise":
                 if len(item) != 2:
                     raise ProofFormatError("(premise ...) takes one node", path)
                 premises.append(build(item[1], f"{path}.premises[{len(premises)}]"
                                        if path else f"premises[{len(premises)}]"))
                 continue
-            if len(item) != 2 or not isinstance(item[1], Token):
+            if len(item) != 2 or not isinstance(item[1], int):
                 raise ProofFormatError(f"({head} ...) takes one argument", path)
-            arg = item[1].text
+            arg = words[item[1]]
             try:
                 if head == "concl":
                     concl = sequent(arg)
                 elif head == "principal":
                     principal = formula(arg)
                 elif head == "witness":
-                    witness = parse_term(arg, sig, ctx, infer=infer)
+                    witness = _Parser(arg, sig, ctx, infer).read(_Parser.term)
                 elif head == "eigen":
-                    eigen = ctx.atom(arg, byte_at(text, item[1].offset))
+                    try:
+                        eigen = ctx.atom(arg)
+                    except ParseError as exc:
+                        raise ParseError(str(exc), _offset(text, item[1])) from None
                 else:
                     raise ProofFormatError(f"unknown item {head!r} under {rule}", path)
             except ParseError as exc:

@@ -16,16 +16,23 @@ The random draws of `nomlog.gen` that build tables are kept here as they were
 first written, one `rng.choice` per cell in a generator and the element built
 and then canonicalized, so that any faster way of drawing must make the same
 calls on the generator and return the same element.
+
+The surface parser is kept here as recursive descent over one `Token` per
+lexeme, one Python frame per construct, so the stack-based parser of
+`nomlog.parsing` can be compared with it on any text.
 """
 
 import itertools
+import re
+from typing import NamedTuple
 
-from nomlog.errors import ArityError, UnknownSymbolError
+from nomlog.errors import ArityError, ParseError, UnknownSymbolError
 from nomlog.interpret import Countermodel
 from nomlog.lifting import LiftedElem, eval_at
 from nomlog.models import OrdinaryModel, Valuation
+from nomlog.parsing import MAX_NESTING, AtomContext, byte_at
 from nomlog.sequents import Sequent
-from nomlog.syntax import All, And, App, Bot, Formula, Neg, Pred, Term, Var
+from nomlog.syntax import All, And, App, Bot, Formula, Neg, Pred, Signature, Term, Var
 
 # -- realignment by valuations --------------------------------------------------------
 
@@ -207,3 +214,172 @@ def refute(model: OrdinaryModel, seq: Sequent) -> Countermodel | None:
     right = denote_lub(model, seq.right)
     gap = first_gap(left, right)
     return None if gap is None else Countermodel(model, gap, left, right)
+
+
+# -- the parser ---------------------------------------------------------------------
+#
+# Recursive descent over one Token per lexeme, each token keeping its character
+# index: the definition `nomlog.parsing` must agree with in results, context
+# state, inferred signatures, and error messages and offsets.
+
+_TOKEN = re.compile(r"(\|-|[(),.&~])|([A-Za-z_][A-Za-z0-9_]*)|(\S)")
+
+
+class Token(NamedTuple):
+    kind: str  # ident ( ) , . & ~ |- eof
+    text: str
+    offset: int  # a character index; errors report it as a byte offset
+
+
+def _lex(text: str) -> list[Token]:
+    toks: list[Token] = []
+    for m in _TOKEN.finditer(text):
+        if m.lastindex == 3:
+            raise ParseError(f"unexpected character {m[3]!r}", byte_at(text, m.start()))
+        toks.append(Token(m[1] or "ident", m[0], m.start()))
+    toks.append(Token("eof", "", len(text)))
+    return toks
+
+
+class _Parser:
+    def __init__(self, text, sig, ctx, infer=None):
+        self.text = text
+        self.toks = _lex(text)
+        self.i = 0
+        self.infer = (sig is None) if infer is None else infer
+        self.sig = sig if sig is not None else Signature()
+        self.ctx = ctx if ctx is not None else AtomContext()
+        self.ctx.reserve(text)
+        self.depth = 0
+
+    def error(self, message, tok):
+        return ParseError(message, byte_at(self.text, tok.offset))
+
+    def peek(self):
+        return self.toks[self.i]
+
+    def next(self):
+        tok = self.toks[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.peek()
+        if tok.kind != kind:
+            raise self.error(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok)
+        return self.next()
+
+    def deeper(self, tok):
+        if self.depth == MAX_NESTING:
+            raise self.error(f"input nested deeper than {MAX_NESTING} levels", tok)
+        self.depth += 1
+
+    def finish(self):
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise self.error(f"trailing input starting with {tok.text!r}", tok)
+
+    def _check(self, table, noun, tok, arity):
+        name = tok.text
+        if self.infer:
+            have = table.setdefault(name, arity)
+        else:
+            if name not in table:
+                raise self.error(f"unknown {noun} {name!r}", tok)
+            have = table[name]
+        if have != arity:
+            raise self.error(f"{name} expects {have} arguments, got {arity}", tok)
+
+    def term(self):
+        tok = self.peek()
+        if tok.kind != "ident":
+            raise self.error(f"expected a term, found {tok.text or 'end of input'!r}", tok)
+        self.next()
+        if self.peek().kind == "(":
+            args = self.args()
+            self._check(self.sig.funs, "term former", tok, len(args))
+            return App(tok.text, args)
+        if not self.infer and self.sig.funs.get(tok.text) == 0:
+            return App(tok.text, ())
+        return Var(self.ctx.atom(tok.text, byte_at(self.text, tok.offset)))
+
+    def args(self):
+        self.deeper(self.expect("("))
+        out = []
+        if self.peek().kind != ")":
+            out.append(self.term())
+            while self.peek().kind == ",":
+                self.next()
+                out.append(self.term())
+        self.expect(")")
+        self.depth -= 1
+        return tuple(out)
+
+    def formula(self):
+        left = self.unary()
+        if self.peek().kind == "&":
+            self.deeper(self.next())
+            right = self.formula()
+            self.depth -= 1
+            return And(left, right)
+        return left
+
+    def unary(self):
+        tok = self.peek()
+        if tok.kind == "~":
+            self.deeper(self.next())
+            body = self.unary()
+            self.depth -= 1
+            return Neg(body)
+        if tok.kind == "ident" and tok.text == "forall":
+            self.deeper(self.next())
+            name = self.expect("ident")
+            self.expect(".")
+            atom = self.ctx.atom(name.text, byte_at(self.text, name.offset))
+            body = self.formula()
+            self.depth -= 1
+            return All(atom, body)
+        return self.atomic()
+
+    def atomic(self):
+        tok = self.peek()
+        if tok.kind == "(":
+            self.deeper(self.next())
+            f = self.formula()
+            self.expect(")")
+            self.depth -= 1
+            return f
+        if tok.kind != "ident":
+            raise self.error(f"expected a formula, found {tok.text or 'end of input'!r}", tok)
+        self.next()
+        if tok.text == "bot":
+            return Bot()
+        if self.peek().kind == "(":
+            args = self.args()
+            self._check(self.sig.preds, "predicate", tok, len(args))
+            return Pred(tok.text, args)
+        self._check(self.sig.preds, "predicate", tok, 0)
+        return Pred(tok.text, ())
+
+    def formula_list(self):
+        if self.peek().kind in ("|-", "eof"):
+            return ()
+        out = [self.formula()]
+        while self.peek().kind == ",":
+            self.next()
+            out.append(self.formula())
+        return tuple(out)
+
+    def sequent(self):
+        left = self.formula_list()
+        self.expect("|-")
+        right = self.formula_list()
+        return Sequent.of(left, right)
+
+
+def parse(rule: str, text: str, sig=None, ctx=None, infer=None):
+    """`rule` ("term", "formula" or "sequent") read over the whole of `text`."""
+    p = _Parser(text, sig, ctx, infer)
+    r = getattr(p, rule)()
+    p.finish()
+    return r
