@@ -54,13 +54,14 @@ class AtomContext:
         """Take the index of every `aN` identifier in `text`."""
         self._taken.update(read_int(n, ParseError) for n in set(_INDEXED_IN.findall(text)))
 
-    def atom(self, name: str, offset: int | None = None) -> Atom:
+    def atom(self, name: str) -> Atom:
+        """The atom `name` spells; the caller adds the offset to its ParseError."""
         m = _INDEXED.match(name)
         if m:
             i = read_int(m[1], ParseError)
             for spelled, a in self._named.items():
                 if a.index == i:
-                    raise ParseError(f"{name} is already the atom named {spelled!r}", offset)
+                    raise ParseError(f"{name} is already the atom named {spelled!r}")
             self._taken.add(i)
             return Atom(i)
         if name not in self._named:

@@ -29,9 +29,10 @@ from .syntax import Formula, Signature
 
 
 # Whitespace and comments, then a parenthesis, a string, a word, a quote that
-# opens no terminated string, or the end of the text.
+# opens no terminated string, or the end of the text.  Past the longest such
+# prefix some alternative of the group always matches, so nothing backtracks.
 _SEXP_TOKEN = re.compile(
-    r'(?:\s+|;[^\n]*)*+([()]|"[^"\\]*(?:\\.[^"\\]*)*"|[^\s()"]+|"|\Z)', re.DOTALL
+    r'\s*(?:;[^\n]*\s*)*([()]|"[^"\\]*(?:\\.[^"\\]*)*"|[^\s()"]+|"|\Z)', re.DOTALL
 )
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
@@ -41,13 +42,13 @@ def _offset(text: str, k: int) -> int:
     return byte_at(text, [m.start(1) for m in _SEXP_TOKEN.finditer(text)][k])
 
 
-def _lex_sexp(text: str) -> list[str]:
+def _lex_sexp(text: str) -> tuple[list[str], list[str]]:
     """The tokens of a proof file: `(`, `)`, words, strings with their quotes,
-    and "" at the end."""
+    and "" at the end; and the text of each, a string's unquoted and unescaped."""
     toks = _SEXP_TOKEN.findall(text)
     if '"' in toks:
         raise ParseError("unterminated string in proof file", _offset(text, toks.index('"')))
-    return toks
+    return toks, [_ESCAPE.sub(r"\1", t[1:-1]) if t[0:1] == '"' else t for t in toks]
 
 
 def _parse_sexp(text: str, toks: list[str]):
@@ -78,8 +79,7 @@ def load_proof(
     infer = sig is None
     sig = sig if sig is not None else Signature()
     ctx = ctx if ctx is not None else AtomContext()
-    toks = _lex_sexp(text)
-    words = [_ESCAPE.sub(r"\1", t[1:-1]) if t[0:1] == '"' else t for t in toks]
+    toks, words = _lex_sexp(text)
     # the file's words and decoded strings are one text, whose aN are reserved
     # here once: `_Parser`, unlike the public parsers, reserves nothing
     ctx.reserve(" ".join(words))

@@ -17,9 +17,10 @@ first written, one `rng.choice` per cell in a generator and the element built
 and then canonicalized, so that any faster way of drawing must make the same
 calls on the generator and return the same element.
 
-The surface parser is kept here as recursive descent over one `Token` per
-lexeme, one Python frame per construct, so the stack-based parser of
-`nomlog.parsing` can be compared with it on any text.
+The surface parser and the proof-file reader are kept here as recursive
+descent over one `Token` per lexeme, one Python frame per construct, so the
+stack-based readers of `nomlog.parsing` and `nomlog.proofs` can be compared
+with them on any text.
 """
 
 import itertools
@@ -290,6 +291,12 @@ class _Parser:
         if have != arity:
             raise self.error(f"{name} expects {have} arguments, got {arity}", tok)
 
+    def atom(self, tok):
+        try:
+            return self.ctx.atom(tok.text)
+        except ParseError as exc:
+            raise self.error(str(exc), tok) from None
+
     def term(self):
         tok = self.peek()
         if tok.kind != "ident":
@@ -301,7 +308,7 @@ class _Parser:
             return App(tok.text, args)
         if not self.infer and self.sig.funs.get(tok.text) == 0:
             return App(tok.text, ())
-        return Var(self.ctx.atom(tok.text, byte_at(self.text, tok.offset)))
+        return Var(self.atom(tok))
 
     def args(self):
         self.deeper(self.expect("("))
@@ -335,7 +342,7 @@ class _Parser:
             self.deeper(self.next())
             name = self.expect("ident")
             self.expect(".")
-            atom = self.ctx.atom(name.text, byte_at(self.text, name.offset))
+            atom = self.atom(name)
             body = self.formula()
             self.depth -= 1
             return All(atom, body)
@@ -383,3 +390,71 @@ def parse(rule: str, text: str, sig=None, ctx=None, infer=None):
     r = getattr(p, rule)()
     p.finish()
     return r
+
+
+# -- the proof-file reader -----------------------------------------------------------
+#
+# One Token per lexeme, strings unescaped as they are lexed, and one Python frame
+# per parenthesis: the definition `nomlog.proofs` must agree with in the tree, the
+# text and offset of each word and string, the indices reserved, and error
+# messages and offsets.
+
+# Whitespace, a comment, a parenthesis, a string, a word, or a quote that
+# opens no terminated string; every character is part of one of them.
+_SEXP_TOKEN = re.compile(
+    r'\s+|;[^\n]*|(?P<paren>[()])|"(?P<str>[^"\\]*(?:\\.[^"\\]*)*)"|(?P<word>[^\s()"]+)|"',
+    re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def _lex_sexp(text: str) -> list[Token]:
+    toks: list[Token] = []
+    for m in _SEXP_TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is not None:
+            word = _ESCAPE.sub(r"\1", m[kind]) if kind == "str" else m[kind]
+            toks.append(Token(word if kind == "paren" else kind, word, m.start()))
+        elif m[0] == '"':
+            raise ParseError("unterminated string in proof file", byte_at(text, m.start()))
+    toks.append(Token("eof", "", len(text)))
+    return toks
+
+
+def _parse_sexp(text: str, toks: list[Token], i: int, depth: int = 0):
+    tok = toks[i]
+    if tok.kind == "(":
+        if depth == MAX_NESTING:
+            raise ParseError(
+                f"proof nested deeper than {MAX_NESTING} parentheses", byte_at(text, tok.offset)
+            )
+        items = []
+        i += 1
+        while toks[i].kind != ")":
+            if toks[i].kind == "eof":
+                raise ParseError("unbalanced parenthesis in proof file", byte_at(text, tok.offset))
+            item, i = _parse_sexp(text, toks, i, depth + 1)
+            items.append(item)
+        return items, i + 1
+    if tok.kind in ("word", "str"):
+        return tok, i + 1
+    raise ParseError(f"unexpected token {tok.text!r} in proof file", byte_at(text, tok.offset))
+
+
+def read_proof(text: str):
+    """What `load_proof` reads of `text` before it builds a derivation: the
+    s-expression, each word and string as (its text, its byte offset), and the
+    indices the file reserves."""
+    toks = _lex_sexp(text)
+    ctx = AtomContext()
+    ctx.reserve(" ".join(tok.text for tok in toks if tok.kind in ("word", "str")))
+    tree, i = _parse_sexp(text, toks, 0)
+    if toks[i].kind != "eof":
+        raise ParseError("trailing input after proof", byte_at(text, toks[i].offset))
+
+    def leaves(node):
+        if isinstance(node, list):
+            return [leaves(item) for item in node]
+        return node.text, byte_at(text, node.offset)
+
+    return leaves(tree), ctx._taken

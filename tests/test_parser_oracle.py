@@ -7,28 +7,33 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nomlog import AtomContext, DerivationError, ParseError, Signature, load_proof
 from nomlog.parsing import parse_formula, parse_sequent, parse_term
+from nomlog.proofs import _lex_sexp, _offset, _parse_sexp
 
 from . import oracle
 from .test_cli import AT_LIMIT
 
 PARSERS = {"term": parse_term, "formula": parse_formula, "sequent": parse_sequent}
 
+
+
+def _soup(words, gaps=("", " ", "  ", "\n")):
+    """Texts of up to 30 of `words`, each after one of `gaps`."""
+    return st.lists(st.sampled_from(words), max_size=30).flatmap(lambda ws: st.lists(
+        st.sampled_from(gaps), min_size=len(ws), max_size=len(ws)
+    ).map(lambda gs: "".join(g + w for g, w in zip(gs, ws))))
+
+
 # Words of the surface syntax and near misses: indexed atoms, keywords used as
 # names, formers of every arity, a non-ASCII letter and characters no token
 # starts with.
-_SOUP = st.lists(
-    st.sampled_from([
-        "(", ")", ",", ".", "&", "~", "|-", "|", "-", "forall", "bot", "a0", "a1",
-        "a2", "a12", "x", "y", "c", "f", "g", "P", "Q", "R", "é", "5", "#",
-    ]),
-    max_size=30,
-).flatmap(lambda words: st.lists(
-    st.sampled_from(["", " ", "  ", "\n"]), min_size=len(words), max_size=len(words)
-).map(lambda gaps: "".join(g + w for g, w in zip(gaps, words))))
+_SOUP = _soup([
+    "(", ")", ",", ".", "&", "~", "|-", "|", "-", "forall", "bot", "a0", "a1",
+    "a2", "a12", "x", "y", "c", "f", "g", "P", "Q", "R", "é", "5", "#",
+])
 
 
 def _applied(names, args):
@@ -89,6 +94,73 @@ def test_stack_parser_matches_the_recursive_one(rule, texts, signed, shared):
             ctx = ctx if shared else AtomContext()
         sides.append(outcomes)
     assert sides[0] == sides[1]
+
+
+# -- proof files ----------------------------------------------------------------------
+
+# Parentheses, words, strings with escaped quotes, backslashes and newlines,
+# comments, lone quotes and backslashes, and gaps that let tokens touch.
+_PROOF_SOUP = _soup([
+    "(", ")", "(", ")", "Ax", "eigen", "a1", "a12", "x", "é", ";", "\\", '"', '""',
+    '"P(a1)"', '"a\\"2 |- x"', '"\\\\"', '"é("', '"a\\\nb"', "; c a3\n", ";é",
+], gaps=("", " ", "\n", "\t", "; c\n"))
+
+
+def _read_proof(text):
+    """What `load_proof` reads of `text` before it builds a derivation, in the
+    form of `oracle.read_proof`; or its ParseError.  Every ParseError that
+    `load_proof` lets out comes from this reading, not from the build."""
+    try:
+        load_proof(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.offset
+    except DerivationError:
+        pass
+    toks, words = _lex_sexp(text)
+    ctx = AtomContext()
+    ctx.reserve(" ".join(words))
+
+    def leaves(node):
+        if isinstance(node, list):
+            return [leaves(item) for item in node]
+        return words[node], _offset(text, node)
+
+    return "ok", leaves(_parse_sexp(text, toks)[0]), ctx._taken
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=_PROOF_SOUP)
+@example(text="(" * 256 + "x" + ")" * 256)
+@example(text="(" * 257 + ")" * 257)
+@example(text="((" * 200)
+def test_proof_reader_matches_the_recursive_one(text):
+    try:
+        want = ("ok", *oracle.read_proof(text))
+    except ParseError as exc:
+        want = ("error", str(exc), exc.offset)
+    assert _read_proof(text) == want
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "unexpected token '' in proof file (at byte 0)"),
+    ("  ; only a comment", "unexpected token '' in proof file (at byte 18)"),
+    (") (Ax)", "unexpected token ')' in proof file (at byte 0)"),
+    ('; é\n(Ax (concl "bot |- ")) ;x\n(Ax)', "trailing input after proof (at byte 31)"),
+    ('(Ax (concl "é") "P(a)', "unterminated string in proof file (at byte 17)"),
+    ("(Ax\n  (concl ;c\n", "unbalanced parenthesis in proof file (at byte 6)"),
+])
+def test_proof_reader_errors_name_their_byte(text, message):
+    with pytest.raises(ParseError) as e:
+        load_proof(text)
+    assert str(e.value) == message
+
+
+def test_eigen_error_names_its_byte_in_the_file():
+    ctx = AtomContext()
+    ctx.atom("x")
+    with pytest.raises(DerivationError, match=r"in \(eigen \.\.\.\): a0 is already the atom "
+                       r"named 'x' \(at byte 19\)"):
+        load_proof('(AllR (eigen ; é\n a0) (concl " |- forall y. bot"))', ctx=ctx)
 
 
 # -- frames ---------------------------------------------------------------------------
