@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 from .atoms import ATOM_CARRIER, Atom, Carrier, ascending, fresh_atom, swap
 from .gen import rand_formula, rand_lifted_elem, rand_term
-from .lifting import atm_lift, lifted_carrier, sub_lift
+from .lifting import LIFTED_CARRIER, atm_lift, sub_lift
 from .syntax import (
     Signature,
     TERM_CARRIER,
@@ -261,7 +261,7 @@ def lifted_term_algebra(carrier: Sequence[int], pool: Sequence[Atom]) -> Termlik
     pool = tuple(pool)
     return TermlikeAlgebra(
         f"lifted-elems[{len(carrier)}]",
-        carrier=lifted_carrier(carrier),
+        carrier=LIFTED_CARRIER,
         sub=sub_lift,
         generate=lambda rng: rand_lifted_elem(rng, carrier, pool),
         pool=pool,

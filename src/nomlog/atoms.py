@@ -85,10 +85,6 @@ class Perm:
         pairs = tuple(sorted(((a, b) for a, b in mapping.items() if a != b)))
         return cls(pairs)
 
-    @classmethod
-    def identity(cls) -> "Perm":
-        return cls(())
-
     def __call__(self, a: Atom) -> Atom:
         for src, img in self.pairs:
             if src == a:
@@ -100,14 +96,8 @@ class Perm:
         domain = {a for a, _ in self.pairs} | {a for a, _ in other.pairs}
         return Perm.from_map({a: self(other(a)) for a in domain})
 
-    def inverse(self) -> "Perm":
-        return Perm.from_map({b: a for a, b in self.pairs})
-
     def moved(self) -> frozenset[Atom]:
         return frozenset(a for a, _ in self.pairs)
-
-    def is_identity(self) -> bool:
-        return not self.pairs
 
     def __str__(self) -> str:
         if not self.pairs:

@@ -25,10 +25,10 @@ from .algebra import (
 from .atoms import Atom
 from .gen import rand_lifted_bool, rand_subset
 from .lifting import (
+    LIFTED_CARRIER,
     enumerate_lifted,
     fresh_glb_lift,
     le_lift,
-    lifted_carrier,
     neg_lift,
     sub_lift,
 )
@@ -69,7 +69,7 @@ def lifted_nba(carrier: Sequence[int], pool: Sequence[Atom]) -> NominalPoset:
     pool = tuple(pool)
     return NominalPoset(
         f"lifted-bools[{len(c)}]",
-        carrier=lifted_carrier(c),
+        carrier=LIFTED_CARRIER,
         le=le_lift,
         fresh_glb=lambda A, X: fresh_glb_lift(c, A, X),
         neg=neg_lift,
@@ -82,22 +82,6 @@ def lifted_nba(carrier: Sequence[int], pool: Sequence[Atom]) -> NominalPoset:
 
 
 # -- pointwise law checks -------------------------------------------------------
-
-
-def check_complement_laws(h: NominalPoset, x) -> bool:
-    """x meet -x = bot, x join -x = top, supp(-x) = supp(x)."""
-    nx = h.neg(x)
-    return (
-        h.eq(h.meet(x, nx), h.bot())
-        and h.eq(h.join(x, nx), h.top())
-        and h.support(nx) == h.support(x)
-    )
-
-
-def check_support_of_glb(h: NominalPoset, fresh: frozenset[Atom], xs: tuple) -> bool:
-    """supp(fresh_glb(A, X)) is inside the supports of X minus A."""
-    bound = frozenset().union(*map(h.support, xs)) - fresh
-    return h.support(h.fresh_glb(fresh, xs)).issubset(bound)
 
 
 def check_compat_glb(h: NominalPoset, fresh: frozenset[Atom], xs: tuple, a: Atom, u) -> str:

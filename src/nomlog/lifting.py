@@ -145,10 +145,6 @@ def top_lift(carrier: Sequence[int]) -> LiftedElem:
     return const_lift(carrier, True)
 
 
-def bot_lift(carrier: Sequence[int]) -> LiftedElem:
-    return const_lift(carrier, False)
-
-
 def atm_lift(carrier: Sequence[int], a: Atom) -> LiftedElem:
     """The projection reading off the valuation at a."""
     carrier = tuple(carrier)
@@ -308,10 +304,8 @@ def enumerate_lifted(
     return out
 
 
-def lifted_carrier(carrier: Sequence[int]) -> Carrier[LiftedElem]:
-    carrier = tuple(carrier)
-    return Carrier(
-        act=perm_act_lift,
-        eq=lambda x, y: x == y,
-        support_bound=lambda f: frozenset(f.deps),
-    )
+LIFTED_CARRIER: Carrier[LiftedElem] = Carrier(
+    act=perm_act_lift,
+    eq=lambda x, y: x == y,
+    support_bound=lambda f: frozenset(f.deps),
+)

@@ -18,9 +18,9 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .atoms import Atom, Perm, ascending
+from .atoms import Atom
 from .errors import (ArityError, ModelFormatError, NomlogError, UnboundAtomError,
                      UnknownSymbolError, read_int)
 from .syntax import All, And, App, Bot, Formula, Neg, Pred, Signature, Term, Var
@@ -139,10 +139,6 @@ class Valuation:
         kept = tuple(item for item in self.assignments if item[0] != a)
         return Valuation.of((*kept, (a, x)))
 
-    def act(self, p: Perm) -> "Valuation":
-        """(p . v)(a) = v(p^-1(a)), i.e. rename the domain along p."""
-        return Valuation.of(tuple((p(a), x) for a, x in self.assignments))
-
     def __str__(self) -> str:
         return ", ".join(f"{a}={x}" for a, x in self.assignments)
 
@@ -172,13 +168,6 @@ def eval_formula(model: OrdinaryModel, v: Valuation, f: Formula) -> bool:
         case All(a, b):
             return all(eval_formula(model, v.update(a, x), b) for x in model.carrier)
     raise TypeError(f"not a formula: {f!r}")
-
-
-def all_valuations(atoms: Iterable[Atom], carrier: tuple[int, ...]) -> Iterator[Valuation]:
-    """Every valuation on the given atoms, in ascending lexicographic order."""
-    atoms = ascending(atoms)
-    for values in itertools.product(carrier, repeat=len(atoms)):
-        yield Valuation.of(zip(atoms, values))
 
 
 # -- model files -------------------------------------------------------------

@@ -95,8 +95,11 @@ def load_proof(
         return memo[key]
 
     def sequent(arg: str) -> Sequent:
-        """Formula by formula; a text that does not read so is parsed whole,
-        which reports its errors where they lie."""
+        """Formula by formula, split as text by `_sides` so that a formula
+        already in `memo` is served without lexing (a memo keyed by token
+        spans must lex every sequent whole, and read proof files slower); a
+        text that does not read so is parsed whole, which reports its errors
+        where they lie."""
         sides = _sides(arg)
         if sides is not None:
             try:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
 
-from .atoms import Atom, Perm
+from .atoms import Atom
 from .errors import DerivationError
 from .models import OrdinaryModel, Valuation, eval_formula
 from .syntax import (
@@ -34,7 +34,6 @@ from .syntax import (
     Formula,
     Neg,
     Term,
-    act_formula,
     fa_formula,
     subst_formula,
 )
@@ -85,13 +84,6 @@ class Sequent:
 
 def fa_sequent(s: Sequent) -> frozenset[Atom]:
     return frozenset().union(*map(fa_formula, (*s.left, *s.right)))
-
-
-def act_sequent(p: Perm, s: Sequent) -> Sequent:
-    return Sequent.of(
-        tuple(act_formula(p, f) for f in s.left),
-        tuple(act_formula(p, f) for f in s.right),
-    )
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,9 @@ shares the compiled readers, cached shapes or table kernels of
 `nomlog.lifting`, so a fault in them cannot hide on both sides of a
 comparison.
 
+Every valuation on a set of atoms, and a permutation's action on a
+valuation, which only tests use, are defined here as well.
+
 The random draws of `nomlog.gen` that build tables are kept here as they were
 first written, one `rng.choice` per cell in a generator and the element built
 and then canonicalized, so that any faster way of drawing must make the same
@@ -34,6 +37,21 @@ from nomlog.models import OrdinaryModel, Valuation
 from nomlog.parsing import MAX_NESTING, AtomContext, byte_at
 from nomlog.sequents import Sequent
 from nomlog.syntax import All, And, App, Bot, Formula, Neg, Pred, Signature, Term, Var
+
+# -- valuations ----------------------------------------------------------------------
+
+
+def all_valuations(atoms, carrier):
+    """Every valuation on the given atoms, in ascending lexicographic order."""
+    atoms = sorted(frozenset(atoms), key=lambda a: a.index)
+    for values in itertools.product(carrier, repeat=len(atoms)):
+        yield Valuation.of(zip(atoms, values))
+
+
+def act_valuation(p, v):
+    """(p . v)(a) = v(p^-1(a)), i.e. rename the domain along p."""
+    return Valuation.of(tuple((p(a), x) for a, x in v.assignments))
+
 
 # -- realignment by valuations --------------------------------------------------------
 

@@ -53,7 +53,7 @@ from nomlog.interpret import (
     enumerate_models,
     refute,
 )
-from nomlog.lifting import enumerate_lifted, fresh_glb_lift, lifted_carrier, sub_lift
+from nomlog.lifting import enumerate_lifted, fresh_glb_lift, sub_lift
 from nomlog.syntax import App
 
 from .test_subst_algebra import capture_subst

@@ -21,6 +21,8 @@ from nomlog import (
     eval_at,
     fresh_glb_lift,
     le_lift,
+    lifted_nba,
+    lifted_term_algebra,
     load_model,
     neg_lift,
     sub_lift,
@@ -28,15 +30,14 @@ from nomlog import (
 from nomlog import gen
 from nomlog.atoms import swap
 from nomlog.lifting import (
+    LIFTED_CARRIER,
     _canonical,
-    bot_lift,
     canonicalize,
     const_lift,
     enumerate_lifted,
     first_gap,
     lift_fn,
     lift_pred,
-    lifted_carrier,
     perm_act_lift,
     top_lift,
 )
@@ -113,7 +114,7 @@ def test_perm_action_is_pointwise_renaming(p, f):
     g = perm_act_lift(p, f)
     assert sorted(x.index for x in g.deps) == sorted(p(x).index for x in f.deps)
     for v in valuations(f):
-        assert eval_at(g, v.act(p)) == eval_at(f, v)
+        assert eval_at(g, oracle.act_valuation(p, v)) == eval_at(f, v)
 
 
 @given(perms())
@@ -185,7 +186,7 @@ def test_fresh_glb_examples():
     pa, pb = atm_lift(TWO, a), atm_lift(TWO, b)
     fa = LiftedElem(TWO, (a,), (False, True))  # "a is 1"
     # quantifying away the only dependency: true iff true at both points
-    assert fresh_glb_lift(TWO, (a,), (fa,)) == bot_lift(TWO)
+    assert fresh_glb_lift(TWO, (a,), (fa,)) == oracle.bot_lift(TWO)
     assert fresh_glb_lift(TWO, (a,), (top_lift(TWO),)) == top_lift(TWO)
     # plain meet when nothing is quantified
     both = fresh_glb_lift(TWO, (), (fa, LiftedElem(TWO, (b,), (False, True))))
@@ -296,7 +297,7 @@ def test_enumerate_lifted():
     assert elems == sorted(
         elems, key=lambda e: (len(e.deps), tuple(x.index for x in e.deps), e.values)
     )
-    assert elems[0] == bot_lift(TWO)
+    assert elems[0] == oracle.bot_lift(TWO)
     assert elems[1] == top_lift(TWO)
     assert all(canonicalize(e) == e for e in elems)
     with pytest.raises(OverflowError):
@@ -311,7 +312,7 @@ def test_enumerate_lifted_caps_at_4096_tables():
 
 
 def test_lifted_carrier_support():
-    h = lifted_carrier(TWO)
+    h = LIFTED_CARRIER
     f = LiftedElem(TWO, (a, b), (True, False, False, True))
     assert set(h.support(f)) == {a, b}
     assert h.is_fresh(c, f)
@@ -319,6 +320,13 @@ def test_lifted_carrier_support():
     # a genuinely symmetric table still supports both deps under swapping?
     # no: swapping a,b fixes this table, but neither atom alone is fresh
     assert h.act(swap(a, b), f) == f
+
+
+def test_lifted_algebras_share_the_carrier():
+    # the action, equality and support bound read only the element, so every
+    # carrier size and pool shares one record
+    nba, terms = lifted_nba(TWO, ATOMS), lifted_term_algebra((0, 1, 2), ATOMS[:2])
+    assert nba.carrier is terms.carrier is LIFTED_CARRIER
 
 
 # Indices 0 and 1 under two display names each, as a library caller may build

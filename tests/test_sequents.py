@@ -15,7 +15,8 @@ from nomlog import (
     parse_sequent,
 )
 from nomlog.atoms import swap
-from nomlog.sequents import act_sequent, node_violation
+from nomlog.sequents import node_violation
+from nomlog.syntax import act_formula
 
 # One context for the whole module, so "a" names the same atom in every
 # string we parse here.
@@ -51,7 +52,9 @@ def test_sequent_of_keeps_first_representative_in_order():
 def test_fa_and_act():
     s = seq("P(a) |- forall a. Q(a, b)")
     assert fa_sequent(s) == frozenset((a, b))
-    assert act_sequent(swap(a, c), s) == seq("P(c) |- forall a. Q(a, b)")
+    p = swap(a, c)
+    moved = Sequent.of([act_formula(p, f) for f in s.left], [act_formula(p, f) for f in s.right])
+    assert moved == seq("P(c) |- forall a. Q(a, b)")
 
 
 def ax(text, principal):
