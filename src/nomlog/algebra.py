@@ -18,20 +18,22 @@ and instances that still violate one are counted as skips, never as passes.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Sequence
 
-from .atoms import ATOM_CARRIER, Atom, Carrier, ascending, fresh_atom, swap
+from .atoms import Atom, Carrier, ascending, fresh_atom, swap
 from .gen import rand_formula, rand_lifted_elem, rand_term
-from .lifting import LIFTED_CARRIER, atm_lift, sub_lift
+from .lifting import atm_lift, perm_act_lift, sub_lift
 from .syntax import (
     Signature,
-    TERM_CARRIER,
     Var,
     act_formula,
+    act_term,
     alpha_key,
     fa_formula,
+    fa_term,
     subst_formula,
     subst_term,
 )
@@ -77,13 +79,12 @@ def suite_ok(reports: Sequence[SuiteReport]) -> bool:
 
 
 @dataclass(eq=False)
-class SubstAlgebra:
-    """A carrier, whose nominal operations it forwards, with `sub(x, a, u)` over
-    a term-like algebra, and a generator and atom pool for the suite."""
+class SubstAlgebra(Carrier):
+    """A carrier with `sub(x, a, u)` over a term-like algebra, and a generator
+    and atom pool for the suite."""
 
     name: str
     _: KW_ONLY
-    carrier: Carrier
     sub: Callable
     generate: Callable[[random.Random], object]
     pool: Sequence[Atom]
@@ -95,23 +96,6 @@ class SubstAlgebra:
             if not isinstance(self, TermlikeAlgebra):
                 raise ValueError(f"{self.name}: a plain substitution algebra needs a term algebra")
             self.term_algebra = self
-
-    @property
-    def eq(self):
-        return self.carrier.eq
-
-    @property
-    def act(self):
-        return self.carrier.act
-
-    def is_fresh(self, a: Atom, x) -> bool:
-        return self.carrier.is_fresh(a, x)
-
-    def support(self, x) -> frozenset[Atom]:
-        return self.carrier.support(x)
-
-    def support_bound(self, x) -> frozenset[Atom]:
-        return self.carrier.support_bound(x)
 
 
 @dataclass(eq=False)
@@ -217,7 +201,9 @@ def atoms_algebra(pool: Sequence[Atom]) -> TermlikeAlgebra:
     pool = tuple(pool)
     return TermlikeAlgebra(
         "atoms",
-        carrier=ATOM_CARRIER,
+        act=lambda p, a: p(a),
+        eq=operator.eq,
+        support_bound=lambda a: frozenset((a,)),
         sub=lambda x, a, u: u if x == a else x,
         generate=lambda rng: rng.choice(pool),
         pool=pool,
@@ -229,7 +215,9 @@ def term_algebra(sig: Signature, pool: Sequence[Atom]) -> TermlikeAlgebra:
     pool = tuple(pool)
     return TermlikeAlgebra(
         "terms",
-        carrier=TERM_CARRIER,
+        act=act_term,
+        eq=operator.eq,
+        support_bound=fa_term,
         sub=subst_term,
         generate=lambda rng: rand_term(rng, sig, pool),
         pool=pool,
@@ -241,14 +229,11 @@ def formula_algebra(sig: Signature, pool: Sequence[Atom]) -> SubstAlgebra:
     """Formulas up to alpha over the term algebra.  Not term-like: there is
     no atom embedding into formulas."""
     pool = tuple(pool)
-    carrier = Carrier(
+    return SubstAlgebra(
+        "formulas",
         act=act_formula,
         eq=lambda x, y: alpha_key(x) == alpha_key(y),
         support_bound=fa_formula,
-    )
-    return SubstAlgebra(
-        "formulas",
-        carrier=carrier,
         sub=subst_formula,
         generate=lambda rng: rand_formula(rng, sig, pool),
         pool=pool,
@@ -261,7 +246,9 @@ def lifted_term_algebra(carrier: Sequence[int], pool: Sequence[Atom]) -> Termlik
     pool = tuple(pool)
     return TermlikeAlgebra(
         f"lifted-elems[{len(carrier)}]",
-        carrier=LIFTED_CARRIER,
+        act=perm_act_lift,
+        eq=operator.eq,
+        support_bound=lambda f: frozenset(f.deps),
         sub=sub_lift,
         generate=lambda rng: rand_lifted_elem(rng, carrier, pool),
         pool=pool,

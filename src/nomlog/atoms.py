@@ -1,10 +1,12 @@
 """Atoms, finite permutations, and swap-based support computation.
 
 Values never carry their support explicitly.  Each kind of value (a
-"carrier") registers a permutation action, a decidable equality, and a
-finite overapproximation of the atoms a value can touch; freshness of an
-atom is then decided by a single swap against a fresh atom, and minimal
-support by folding that test over the bound.
+`Carrier`) states a permutation action, a decidable equality, and a finite
+overapproximation of the atoms a value can touch; freshness of an atom is
+then decided by a single swap against a fresh atom, and minimal support by
+folding that test over the bound.  No carrier is built here: every
+substitution algebra (`nomlog.algebra.SubstAlgebra`) is one, and states
+its kind's three members itself.
 
 A set of atoms is a `frozenset[Atom]`, keeping one atom per index (the
 first added).  `ascending` is the one place atom order is decided, wherever
@@ -133,9 +135,11 @@ def is_fresh_by_swap(
     return eq(act(swap(b, a), x), x)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, kw_only=True)
 class Carrier(Generic[T]):
-    """Permutation-action contract for one kind of value."""
+    """Permutation-action contract for one kind of value.  Equality and
+    hashing are by identity, as two carriers with equal members may still
+    differ in what a subclass adds."""
 
     act: Callable[[Perm, T], T]
     eq: Callable[[T, T], bool]
@@ -147,10 +151,3 @@ class Carrier(Generic[T]):
     def support(self, x: T) -> frozenset[Atom]:
         """Minimal support: the bound filtered by per-atom swap tests."""
         return frozenset(a for a in self.support_bound(x) if not self.is_fresh(a, x))
-
-
-ATOM_CARRIER: Carrier[Atom] = Carrier(
-    act=lambda p, a: p(a),
-    eq=lambda x, y: x == y,
-    support_bound=lambda a: frozenset((a,)),
-)

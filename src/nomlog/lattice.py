@@ -24,14 +24,7 @@ from .algebra import (
 )
 from .atoms import Atom
 from .gen import rand_lifted_bool, rand_subset
-from .lifting import (
-    LIFTED_CARRIER,
-    enumerate_lifted,
-    fresh_glb_lift,
-    le_lift,
-    neg_lift,
-    sub_lift,
-)
+from .lifting import enumerate_lifted, fresh_glb_lift, le_lift, neg_lift, sub_lift
 
 
 @dataclass(eq=False)
@@ -64,17 +57,22 @@ class NominalPoset(SubstAlgebra):
 
 
 def lifted_nba(carrier: Sequence[int], pool: Sequence[Atom]) -> NominalPoset:
-    """The boolean-valued lifted carrier over a finite model's carrier."""
+    """The boolean-valued lifted carrier over a finite model's carrier; its
+    values are lifted elements too, so it takes their nominal structure from
+    its term algebra."""
     c = tuple(carrier)
     pool = tuple(pool)
+    terms = lifted_term_algebra(c, pool)
     return NominalPoset(
         f"lifted-bools[{len(c)}]",
-        carrier=LIFTED_CARRIER,
+        act=terms.act,
+        eq=terms.eq,
+        support_bound=terms.support_bound,
         le=le_lift,
         fresh_glb=lambda A, X: fresh_glb_lift(c, A, X),
         neg=neg_lift,
         sub=sub_lift,
-        term_algebra=lifted_term_algebra(c, pool),
+        term_algebra=terms,
         term_enum=lambda atoms: enumerate_lifted(c, atoms, c),
         generate=lambda rng: rand_lifted_bool(rng, c, pool),
         pool=pool,

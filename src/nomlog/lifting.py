@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from operator import add, attrgetter, itemgetter, not_
 from typing import Iterable, Sequence
 
-from .atoms import Atom, Carrier, Perm, ascending
+from .atoms import Atom, Perm, ascending
 from .models import OrdinaryModel, Valuation, check_width
 
 
@@ -302,10 +302,3 @@ def enumerate_lifted(
             out.append(elem)
     out.sort(key=lambda e: (len(e.deps), tuple(a.index for a in e.deps), e.values))
     return out
-
-
-LIFTED_CARRIER: Carrier[LiftedElem] = Carrier(
-    act=perm_act_lift,
-    eq=lambda x, y: x == y,
-    support_bound=lambda f: frozenset(f.deps),
-)

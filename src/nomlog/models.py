@@ -28,8 +28,13 @@ from .syntax import All, And, App, Bot, Formula, Neg, Pred, Signature, Term, Var
 MAX_TABLE_CELLS = 1 << 20
 
 
+@dataclass(init=False)
 class OrdinaryModel:
     """Nonempty finite carrier plus total interpretation tables."""
+
+    carrier: tuple[int, ...]
+    funs: dict[str, dict[tuple[int, ...], int]]
+    preds: dict[str, dict[tuple[int, ...], bool]]
 
     def __init__(
         self,
@@ -82,18 +87,6 @@ class OrdinaryModel:
 
     def pred_value(self, name: str, args: tuple[int, ...]) -> bool:
         return self.table("pred", name, len(args))[args]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrdinaryModel):
-            return NotImplemented
-        return (
-            self.carrier == other.carrier
-            and self.funs == other.funs
-            and self.preds == other.preds
-        )
-
-    def __repr__(self) -> str:
-        return f"OrdinaryModel(carrier={self.carrier!r}, funs={self.funs!r}, preds={self.preds!r})"
 
 
 def _check_cells(name: str, n: int, arity: int) -> None:

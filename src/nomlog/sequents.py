@@ -34,6 +34,7 @@ from .syntax import (
     Formula,
     Neg,
     Term,
+    Var,
     fa_formula,
     subst_formula,
 )
@@ -124,6 +125,8 @@ def _needs_witness(d: Derivation, context) -> str | None:
 
 
 def _fresh_eigen(d: Derivation, context) -> str | None:
+    # The principal counts too: |- R(e, e) holds the body of forall a. R(a, e)
+    # at e, yet does not give forall a. R(a, e).
     if d.eigen is None:
         return "needs an eigen atom"
     if context is not None and any(d.eigen in fa_formula(f) for f in context):
@@ -131,27 +134,20 @@ def _fresh_eigen(d: Derivation, context) -> str | None:
     return None
 
 
-def _eigen_body(p: All, witness, eigen: Atom, premises) -> tuple | str:
-    body = next((g for g in premises[0].right if All(eigen, g).alpha_key == p.alpha_key), None)
-    if body is None:
-        return f"premise right lacks the body of {p} at eigen atom {eigen}"
-    return (((body,), ()),)
-
-
 @dataclass(frozen=True)
 class Rule:
-    """One sequent rule.  `parts(principal, witness, eigen, premises)` gives,
-    per premise, the parts landing on the principal's side and those landing
-    on the other side, or a message when the premises do not exhibit them.
-    `guard(d, context)` checks the rule's side conditions before that; the
-    context is the conclusion without the principal, or None when the
-    conclusion is being inferred."""
+    """One sequent rule.  `parts(principal, witness, eigen)` gives, per
+    premise, the parts landing on the principal's side and those landing on
+    the other side; they follow from the principal alone, so a rule reads
+    the same downwards and upwards.  `guard(d, context)` checks the rule's
+    side conditions before that; the context is every formula of the
+    conclusion, or None when the conclusion is being inferred."""
 
     arity: int
     side: str = ""  # where the principal sits: "left" or "right"
     connective: type | None = None
     noun: str = ""
-    parts: Callable[..., tuple | str] | None = None
+    parts: Callable[..., tuple] | None = None
     wrong: str = ""  # a premise's principal side is not the expected one
     lacks: tuple[str, ...] = ()  # per premise: inference misses a part
     guard: Callable[[Derivation, tuple | None], str | None] = lambda d, context: None
@@ -163,13 +159,13 @@ RULES = {
     "Ax": Rule(0, leaf=_ax),
     "AndL": Rule(
         1, "left", And, "conjunction",
-        lambda p, w, e, prems: (((p.left, p.right), ()),),
+        lambda p, w, e: (((p.left, p.right), ()),),
         wrong="does not decompose {p}",
         lacks=("premise left lacks the conjuncts",),
     ),
     "AndR": Rule(
         2, "right", And, "conjunction",
-        lambda p, w, e, prems: (((p.left,), ()), ((p.right,), ())),
+        lambda p, w, e: (((p.left,), ()), ((p.right,), ())),
         wrong="does not prove {0}",
         lacks=(
             "first premise right lacks the left conjunct",
@@ -178,25 +174,26 @@ RULES = {
     ),
     "NegL": Rule(
         1, "left", Neg, "negation",
-        lambda p, w, e, prems: (((), (p.body,)),),
+        lambda p, w, e: (((), (p.body,)),),
         wrong="must only discharge the principal",
         lacks=("premise right lacks the negated body",),
     ),
     "NegR": Rule(
         1, "right", Neg, "negation",
-        lambda p, w, e, prems: (((), (p.body,)),),
+        lambda p, w, e: (((), (p.body,)),),
         wrong="must only discharge the principal",
         lacks=("premise left lacks the negated body",),
     ),
     "AllL": Rule(
         1, "left", All, "universal",
-        lambda p, w, e, prems: (((subst_formula(p.body, p.atom, w),), ()),),
+        lambda p, w, e: (((subst_formula(p.body, p.atom, w),), ()),),
         wrong="must add the instance {0}",
         lacks=("premise left lacks the witness instance",),
         guard=_needs_witness,
     ),
     "AllR": Rule(
-        1, "right", All, "universal", _eigen_body,
+        1, "right", All, "universal",
+        lambda p, w, e: (((subst_formula(p.body, p.atom, Var(e)),), ()),),
         wrong="must only replace the principal by its body",
         lacks=("premise right lacks the body at the eigen atom",),
         guard=_fresh_eigen,
@@ -227,20 +224,14 @@ def node_violation(d: Derivation) -> str | None:
     if not isinstance(p, r.connective):
         return f"{d.rule} principal {p} is not a {r.noun}"
     side, other = _orient(("left", "right"), r.side)
-    c_side, c_other = _orient((d.conclusion.left, d.conclusion.right), side)
     k_side, k_other = _orient(d.conclusion.key, side)
     if p.alpha_key not in k_side:
         return f"{d.rule} principal {p} is not on the {side}"
-    rest = without(c_side, p)
-    premises = tuple(prem.conclusion for prem in d.premises)
-    message = r.guard(d, (*rest, *c_other))
+    message = r.guard(d, (*d.conclusion.left, *d.conclusion.right))
     if message is not None:
         return f"{d.rule} {message}"
-    parts = r.parts(p, d.witness, d.eigen, premises)
-    if isinstance(parts, str):
-        return f"{d.rule} {parts}"
-    for prem, (same, moved) in zip(premises, parts):
-        prem_side, prem_other = _orient(prem.key, side)
+    for prem, (same, moved) in zip(d.premises, r.parts(p, d.witness, d.eigen)):
+        prem_side, prem_other = _orient(prem.conclusion.key, side)
         if prem_other != k_other | keys(moved):
             if moved:
                 return f"{d.rule} premise {other} must add {moved[0]}"
@@ -271,12 +262,10 @@ def infer_conclusion(d: Derivation, path: str = "") -> Sequent:
     if message is not None:
         raise fail(f"{d.rule} {message}")
     premises = tuple(prem.conclusion for prem in d.premises)
-    parts = r.parts(p, d.witness, d.eigen, premises)
+    parts = r.parts(p, d.witness, d.eigen)
     for i, prem in enumerate(premises):
         prem_side, prem_other = _orient(prem.key, r.side)
-        if isinstance(parts, str) or not (
-            keys(parts[i][0]) <= prem_side and keys(parts[i][1]) <= prem_other
-        ):
+        if not (keys(parts[i][0]) <= prem_side and keys(parts[i][1]) <= prem_other):
             raise fail(r.lacks[i])
     (same, moved), prem = parts[0], premises[0]
     prem_side, prem_other = _orient((prem.left, prem.right), r.side)

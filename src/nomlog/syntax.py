@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .atoms import Atom, Carrier, Perm, fresh_atom, swap
+from .atoms import Atom, Perm, fresh_atom, swap
 from .errors import ArityError
 
 
@@ -302,10 +302,3 @@ def print_formula(f: Formula) -> str:
         case All(a, b):
             return f"forall {a.name}. {print_formula(b)}"
     raise TypeError(f"not a formula: {f!r}")
-
-
-TERM_CARRIER: Carrier[Term] = Carrier(
-    act=act_term,
-    eq=lambda x, y: x == y,
-    support_bound=fa_term,
-)

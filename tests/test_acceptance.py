@@ -36,7 +36,7 @@ from nomlog import (
     suite_ok,
     term_algebra,
 )
-from nomlog.atoms import ATOM_CARRIER, swap
+from nomlog.atoms import swap
 from nomlog.gen import (
     atom_pool,
     default_signature,
@@ -71,7 +71,7 @@ def _done(n: int, t0: float, budget: float, detail: str) -> None:
 
 def test_criterion_1_syntax_goldens():
     t0 = time.perf_counter()
-    assert ATOM_CARRIER.support(a) == frozenset((a,))
+    assert atoms_algebra(POOL).support(a) == frozenset((a,))
     pa = Pred("P", (Var(a),))
     pb = Pred("P", (Var(b),))
     assert alpha_eq(All(a, pa), All(b, pb))
@@ -207,17 +207,17 @@ def test_criterion_8_countermodel_goldens():
 def test_criterion_9_support_laws():
     t0 = time.perf_counter()
     instances = [
-        ("terms", term_algebra(SIG, POOL).carrier,
+        ("terms", term_algebra(SIG, POOL),
          lambda rng: rand_term(rng, SIG, POOL, depth=3),
          fa_term),
-        ("formulas", formula_algebra(SIG, POOL).carrier,
+        ("formulas", formula_algebra(SIG, POOL),
          lambda rng: rand_formula(rng, SIG, POOL, depth=3),
          fa_formula),
     ]
     for size in (2, 3):
         alg = lifted_term_algebra(range(size), POOL)
         instances.append(
-            (alg.name, alg.carrier, lambda rng, alg=alg: alg.generate(rng),
+            (alg.name, alg, lambda rng, alg=alg: alg.generate(rng),
              lambda x: frozenset(x.deps))
         )
     for name, h, gen, truth in instances:

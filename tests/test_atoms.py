@@ -1,9 +1,11 @@
+import operator
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nomlog import Atom, Perm, fresh_atom, swap
-from nomlog.atoms import ATOM_CARRIER, ascending
+from nomlog import Atom, Carrier, Perm, fresh_atom, swap
+from nomlog.atoms import ascending
 
 from .strategies import atoms, perms
 
@@ -79,10 +81,24 @@ def test_perm_moved_is_minimal(p):
     assert all(p(x) != x for x in p.moved())
 
 
+# Atoms as a carrier of their own, with the members `atoms_algebra` states.
+ATOM_CARRIER = Carrier(
+    act=lambda p, x: p(x), eq=operator.eq, support_bound=lambda x: frozenset((x,))
+)
+
+
 def test_atom_carrier_support():
     assert ATOM_CARRIER.support(a) == frozenset((a,))
     assert ATOM_CARRIER.is_fresh(b, a)
     assert not ATOM_CARRIER.is_fresh(a, a)
+
+
+def test_carrier_members_are_keyword_only_and_equality_is_identity():
+    with pytest.raises(TypeError):
+        Carrier(ATOM_CARRIER.act, ATOM_CARRIER.eq, ATOM_CARRIER.support_bound)
+    twin = Carrier(act=ATOM_CARRIER.act, eq=ATOM_CARRIER.eq,
+                   support_bound=ATOM_CARRIER.support_bound)
+    assert twin != ATOM_CARRIER and len({twin, ATOM_CARRIER}) == 2
 
 
 @given(perms(), atoms)

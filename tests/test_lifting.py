@@ -22,7 +22,6 @@ from nomlog import (
     fresh_glb_lift,
     le_lift,
     lifted_nba,
-    lifted_term_algebra,
     load_model,
     neg_lift,
     sub_lift,
@@ -30,7 +29,6 @@ from nomlog import (
 from nomlog import gen
 from nomlog.atoms import swap
 from nomlog.lifting import (
-    LIFTED_CARRIER,
     _canonical,
     canonicalize,
     const_lift,
@@ -312,7 +310,7 @@ def test_enumerate_lifted_caps_at_4096_tables():
 
 
 def test_lifted_carrier_support():
-    h = LIFTED_CARRIER
+    h = lifted_nba(TWO, ATOMS)
     f = LiftedElem(TWO, (a, b), (True, False, False, True))
     assert set(h.support(f)) == {a, b}
     assert h.is_fresh(c, f)
@@ -320,13 +318,6 @@ def test_lifted_carrier_support():
     # a genuinely symmetric table still supports both deps under swapping?
     # no: swapping a,b fixes this table, but neither atom alone is fresh
     assert h.act(swap(a, b), f) == f
-
-
-def test_lifted_algebras_share_the_carrier():
-    # the action, equality and support bound read only the element, so every
-    # carrier size and pool shares one record
-    nba, terms = lifted_nba(TWO, ATOMS), lifted_term_algebra((0, 1, 2), ATOMS[:2])
-    assert nba.carrier is terms.carrier is LIFTED_CARRIER
 
 
 # Indices 0 and 1 under two display names each, as a library caller may build

@@ -21,7 +21,7 @@ from nomlog.syntax import act_formula
 # One context for the whole module, so "a" names the same atom in every
 # string we parse here.
 CTX = AtomContext()
-a, b, c = CTX.atom("a"), CTX.atom("b"), CTX.atom("c")
+a, b, c, e = CTX.atom("a"), CTX.atom("b"), CTX.atom("c"), CTX.atom("e")
 
 
 def seq(text):
@@ -189,6 +189,12 @@ def test_allr_rule_eigen_condition():
         eigen=c,
     )
     assert node_violation(hollow) is not None
+    # nor may it lack the body altogether
+    lacking = Derivation("AllR", seq("|- forall b. P(b)"), (_leaf("|- P(a)"),),
+                         principal=form("forall b. P(b)"), eigen=c)
+    assert node_violation(lacking) == (
+        "AllR premise right must only replace the principal by its body"
+    )
 
 
 def test_rule_arity_and_unknown_rule():
@@ -306,9 +312,10 @@ NODE_MESSAGES = [
     (Derivation("AllR", seq("P(c) |- forall b. P(b)"), (_leaf("P(c) |- P(c)"),),
                 principal=form("forall b. P(b)"), eigen=c),
      "AllR eigen atom c occurs free in the conclusion context"),
-    (Derivation("AllR", seq("|- forall b. P(b)"), (_leaf("|- P(a)"),),
-                principal=form("forall b. P(b)"), eigen=c),
-     "AllR premise right lacks the body of forall b. P(b) at eigen atom c"),
+    # R(e, e) is the body of forall a. R(a, e) at e, yet the step is unsound
+    (Derivation("AllR", seq("|- forall a. R(a, e)"), (_leaf("|- R(e, e)"),),
+                principal=form("forall a. R(a, e)"), eigen=e),
+     "AllR eigen atom e occurs free in the conclusion context"),
     (Derivation("AllR", seq("|- forall b. P(b)"), (_leaf("P(a) |- P(c)"),),
                 principal=form("forall b. P(b)"), eigen=c),
      "AllR premise changed the left side"),

@@ -2,6 +2,8 @@
 plus a deliberately capture-permitting substitution that the suite must
 catch."""
 
+import operator
+import random
 from dataclasses import replace
 
 import pytest
@@ -26,11 +28,15 @@ from nomlog import (
     suite_ok,
     term_algebra,
 )
-from nomlog.atoms import ATOM_CARRIER
+from nomlog.atoms import Carrier
 from nomlog.gen import atom_pool, default_signature
 
 POOL = atom_pool(4)
 SIG = default_signature()
+
+
+# The nominal members of atoms, as `atoms_algebra` states them.
+ATOM_MEMBERS = dict(act=lambda p, x: p(x), eq=operator.eq, support_bound=lambda x: frozenset((x,)))
 
 
 def by_name(reports):
@@ -66,13 +72,31 @@ def test_lifted_algebras_pass():
         assert suite_ok(run_axiom_suite(lifted_nba(carrier, POOL), trials=200, seed=1))
 
 
-@pytest.mark.parametrize("factory", [
+FACTORIES = [
     atoms_algebra,
     lambda pool: term_algebra(SIG, pool),
     lambda pool: formula_algebra(SIG, pool),
     lambda pool: lifted_term_algebra(range(2), pool),
     lambda pool: lifted_nba(range(2), pool),
-], ids=["atoms", "terms", "formulas", "lifted", "lifted-bool"])
+]
+
+
+def test_every_algebra_is_a_carrier():
+    rng = random.Random(0)
+    for factory in FACTORIES:
+        alg = factory(POOL)
+        assert isinstance(alg, Carrier) and isinstance(alg.term_algebra, Carrier)
+        x = alg.generate(rng)
+        assert alg.support(x) <= alg.support_bound(x)
+    # lifted booleans are lifted elements: one action, equality and bound
+    nba = lifted_nba(range(2), POOL)
+    terms = nba.term_algebra
+    assert nba.act is terms.act and nba.eq is terms.eq
+    assert nba.support_bound is terms.support_bound
+
+
+@pytest.mark.parametrize("factory", FACTORIES,
+                         ids=["atoms", "terms", "formulas", "lifted", "lifted-bool"])
 def test_a_one_shot_pool_gives_the_same_reports(factory):
     once = factory(iter(POOL))
     assert once.pool == once.term_algebra.pool == tuple(POOL)
@@ -88,7 +112,7 @@ def test_an_algebra_that_is_not_term_like_needs_a_term_algebra():
     with pytest.raises(ValueError, match="needs a term algebra"):
         SubstAlgebra(
             "plain",
-            carrier=ATOM_CARRIER,
+            **ATOM_MEMBERS,
             sub=lambda x, a, u: x,
             generate=lambda rng: rng.choice(POOL),
             pool=POOL,
@@ -100,7 +124,7 @@ def test_an_algebra_that_is_not_term_like_needs_a_term_algebra():
 def test_a_term_like_algebra_is_its_own_term_algebra():
     alg = TermlikeAlgebra(
         "atoms",
-        carrier=ATOM_CARRIER,
+        **ATOM_MEMBERS,
         sub=lambda x, a, u: u if x == a else x,
         generate=lambda rng: rng.choice(POOL),
         pool=list(POOL),
