@@ -189,12 +189,6 @@ def test_allr_rule_eigen_condition():
         eigen=c,
     )
     assert node_violation(hollow) is not None
-    # nor may it lack the body altogether
-    lacking = Derivation("AllR", seq("|- forall b. P(b)"), (_leaf("|- P(a)"),),
-                         principal=form("forall b. P(b)"), eigen=c)
-    assert node_violation(lacking) == (
-        "AllR premise right must only replace the principal by its body"
-    )
 
 
 def test_rule_arity_and_unknown_rule():
@@ -325,8 +319,18 @@ NODE_MESSAGES = [
 ]
 
 
+# A premise without the body at all gets the same message as the table's last
+# case, so its id names what the premise lacks instead.
+LACKING_BODY = pytest.param(
+    Derivation("AllR", seq("|- forall b. P(b)"), (_leaf("|- P(a)"),),
+               principal=form("forall b. P(b)"), eigen=c),
+    "AllR premise right must only replace the principal by its body",
+    id="AllR premise right lacks the body of forall b. P(b) at eigen atom c",
+)
+
+
 @pytest.mark.parametrize(
-    "d, message", NODE_MESSAGES, ids=[m for _, m in NODE_MESSAGES]
+    "d, message", [pytest.param(d, m, id=m) for d, m in NODE_MESSAGES] + [LACKING_BODY]
 )
 def test_node_violation_messages_are_exact(d, message):
     assert node_violation(d) == message
